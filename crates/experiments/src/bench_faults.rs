@@ -19,8 +19,7 @@
 
 use faas_cpu::bench_support::run_capacity_churn;
 use faas_cpu::{GpsCpu, ReferenceGpsCpu};
-use faas_invoker::baseline;
-use faas_invoker::NodeConfig;
+use faas_invoker::{simulate_calls_faulted, NodeConfig, NodeMode};
 use faas_simcore::time::SimDuration;
 use faas_workload::faults::FaultSpec;
 use faas_workload::scenario::BurstScenario;
@@ -88,14 +87,13 @@ pub fn run_levels(
     let cfg = NodeConfig::paper(NODE_CORES);
     let weights = WeightTable::uniform(catalogue.len());
     let faults = FaultSpec::degradation(42, scenario.burst_start, SimDuration::from_secs(60));
-    let clean = crate::median_ns(SAMPLES, || {
-        let r = baseline::simulate(&catalogue, &calls, &cfg, 42, 0);
+    let node_run = |faults: &FaultSpec| {
+        let mode = NodeMode::Baseline;
+        let r = simulate_calls_faulted(&catalogue, &calls, &mode, &cfg, &weights, faults, 42, 0);
         r.outcomes.len() as f64
-    });
-    let degraded = crate::median_ns(SAMPLES, || {
-        let r = baseline::simulate_faulted(&catalogue, &calls, &cfg, &weights, &faults, 42, 0);
-        r.outcomes.len() as f64
-    });
+    };
+    let clean = crate::median_ns(SAMPLES, || node_run(&FaultSpec::none()));
+    let degraded = crate::median_ns(SAMPLES, || node_run(&faults));
     entries.push(BenchEntry {
         name: format!("faults_node_c{NODE_CORES}_v{node_intensity}_clean"),
         value: clean / 1e6,

@@ -180,7 +180,7 @@ pub struct NodeConfig {
     /// I/O-intensive actions, whose dedicated cores sit idle (§IV-A). A
     /// factor above 1.0 admits more concurrent containers; CPU-bound work
     /// then slows proportionally to the oversubscription (see
-    /// `faas_invoker::ours` for the approximation used).
+    /// the `ours` module of `faas-invoker` for the approximation used).
     pub busy_limit_factor: f64,
     /// Memory bandwidth available to action containers, in bandwidth
     /// units (one unit saturates the working set of one fully CPU-bound

@@ -1,34 +1,40 @@
 //! # faas-invoker
 //!
 //! The OpenWhisk invoker substrate: container lifecycle and the two
-//! node-level resource-management regimes the paper compares.
+//! node-level resource-management regimes the paper compares, as one node
+//! runtime under two queue disciplines.
 //!
 //! * [`config`] — node configuration and the calibration constants that tie
 //!   the simulator to the paper's measured testbed behaviour.
 //! * [`pool`] — the container pool (§III): free (warm) pool, prewarm pool,
 //!   memory accounting, LRU eviction, cold-start bookkeeping.
-//! * [`baseline`] — the unmodified-OpenWhisk node: greedy container
-//!   creation, memory-proportional CPU shares time-sliced by the OS
-//!   (generalized processor sharing with a context-switch penalty), FIFO
-//!   overflow queue.
-//! * [`ours`] — the paper's node (§IV): a policy-driven priority queue in
-//!   front of at most `cores` busy containers, each pinned to a full core,
-//!   non-preemptive execution.
+//! * `runtime` (private) — the node model both regimes share: arrival,
+//!   faults, retries, failover handoffs, outcomes and the resumable step
+//!   API, generic over a `Discipline`. Its module docs hold the step
+//!   contract and the fault semantics.
+//! * `baseline` (private) — the unmodified-OpenWhisk discipline: greedy
+//!   container creation, memory-proportional CPU shares time-sliced by the
+//!   OS (generalized processor sharing with a context-switch penalty),
+//!   FIFO overflow queue.
+//! * `ours` (private) — the paper's discipline (§IV): a policy-driven
+//!   priority queue in front of at most `cores` busy containers, each
+//!   pinned to a full core, non-preemptive execution.
 //! * [`result`] — per-run outcome collection.
-//! * [`step`] — the resumable step API both nodes expose
-//!   (`advance_to(horizon)` windows, cross-node failover handoffs), the
-//!   substrate of the cluster crate's coupled engine.
+//! * [`step`] — the progress snapshots and failover handoffs the step API
+//!   exchanges with the cluster crate's coupled engine.
 //!
-//! Both node simulations consume the same [`faas_workload::Scenario`]s and
-//! produce the same [`result::NodeResult`], so every experiment in the paper
-//! is a like-for-like comparison.
+//! [`NodeSim`] selects the discipline from a [`NodeMode`]; the `simulate_*`
+//! functions run one to completion. Both regimes consume the same
+//! [`faas_workload::Scenario`]s and produce the same
+//! [`result::NodeResult`], so every experiment in the paper is a
+//! like-for-like comparison.
 
-pub mod baseline;
+mod baseline;
 pub mod config;
-mod fault_rt;
-pub mod ours;
+mod ours;
 pub mod pool;
 pub mod result;
+mod runtime;
 pub mod step;
 
 pub use config::{Calibration, NodeConfig, NodeMode};
@@ -36,14 +42,16 @@ pub use pool::{ContainerPool, PoolStats};
 pub use result::{DroppedCall, FaultStats, NodeResult};
 pub use step::{Handoff, NodeProgress};
 
-use faas_simcore::time::SimTime;
-
+use baseline::Baseline;
 use faas_core::SchedulerConfig;
+use faas_simcore::time::SimTime;
 use faas_workload::faults::FaultSpec;
 use faas_workload::sebs::Catalogue;
 use faas_workload::trace::Call;
 use faas_workload::weight::WeightTable;
 use faas_workload::Scenario;
+use ours::Scheduled;
+use runtime::NodeRuntime;
 
 /// Simulate one node serving `calls` (release-ordered) under the given mode.
 ///
@@ -57,21 +65,20 @@ pub fn simulate_calls(
     seed: u64,
     node_index: u16,
 ) -> NodeResult {
-    match mode {
-        NodeMode::Baseline => baseline::simulate(catalogue, calls, cfg, seed, node_index),
-        NodeMode::Scheduled(sched) => {
-            ours::simulate(catalogue, calls, cfg, *sched, seed, node_index)
-        }
-    }
+    let weights = WeightTable::uniform(catalogue.len());
+    simulate_calls_weighted(catalogue, calls, mode, cfg, &weights, seed, node_index)
 }
 
 /// Simulate one node with per-function container weights and rate caps
 /// (the weighted-container axis of [`faas_workload::WorkloadSpec`]).
 ///
-/// Weights shape the *baseline* node only: its soft CPU shares are
-/// memory-proportional, which is exactly what the GPS weight models. The
-/// paper's regime pins every busy container to one full core, so
-/// [`NodeMode::Scheduled`] is weight-invariant and runs unchanged.
+/// Weights shape the *baseline* node only: each CPU phase (cold-start
+/// init and execution) enters its GPS bank with the share
+/// [`WeightTable::phase_share`] assigns it — memory-proportional soft CPU
+/// shares are exactly what the GPS weight models, and warm-up calls may
+/// override per phase (cgroup update latency). The paper's regime pins
+/// every busy container to one full core, so [`NodeMode::Scheduled`] is
+/// weight-invariant and runs unchanged.
 pub fn simulate_calls_weighted(
     catalogue: &Catalogue,
     calls: &[Call],
@@ -81,20 +88,16 @@ pub fn simulate_calls_weighted(
     seed: u64,
     node_index: u16,
 ) -> NodeResult {
-    match mode {
-        NodeMode::Baseline => {
-            baseline::simulate_weighted(catalogue, calls, cfg, weights, seed, node_index)
-        }
-        NodeMode::Scheduled(sched) => {
-            ours::simulate(catalogue, calls, cfg, *sched, seed, node_index)
-        }
-    }
+    let none = FaultSpec::none();
+    simulate_calls_faulted(
+        catalogue, calls, mode, cfg, weights, &none, seed, node_index,
+    )
 }
 
 /// Simulate one node under a fault plan: dynamic capacity, node
 /// crash/restart, transient failures and the retry/timeout/backoff policy
-/// (see [`faas_workload::faults`] for the model, and the `baseline` /
-/// `ours` module docs for the per-regime semantics).
+/// (see [`faas_workload::faults`] for the model and the `runtime` module
+/// docs for the node semantics).
 ///
 /// The node's fault timeline is derived from `(faults, node_index)` inside
 /// the invoker, so multi-node runs stay shard-invariant. With
@@ -110,14 +113,12 @@ pub fn simulate_calls_faulted(
     seed: u64,
     node_index: u16,
 ) -> NodeResult {
-    match mode {
-        NodeMode::Baseline => {
-            baseline::simulate_faulted(catalogue, calls, cfg, weights, faults, seed, node_index)
-        }
-        NodeMode::Scheduled(sched) => {
-            ours::simulate_faulted(catalogue, calls, cfg, *sched, faults, seed, node_index)
-        }
-    }
+    let mut sim = NodeSim::new(
+        catalogue, mode, cfg, weights, faults, seed, node_index, false,
+    );
+    sim.inject(calls);
+    sim.advance_to(SimTime::MAX);
+    sim.finish()
 }
 
 /// Simulate a full scenario (warm-up plus burst) on a single node.
@@ -138,20 +139,31 @@ pub fn scheduled(sched: SchedulerConfig) -> NodeMode {
 }
 
 /// A mode-dispatching resumable node simulator: one enum over the two
-/// regimes, exposing the step API of [`step`] so the cluster engine can
-/// drive either node kind through conservative time windows without
-/// caring which regime it is. Boxed per variant — the two simulators are
-/// large and a cluster holds many.
+/// disciplines of the shared node runtime, exposing the step API (see
+/// [`step`]) so the cluster engine can drive either node kind through
+/// conservative time windows without caring which regime it is. Boxed per
+/// variant — the simulators are large and a cluster holds many.
 pub enum NodeSim<'a> {
     /// The unmodified-OpenWhisk node.
-    Baseline(Box<baseline::NodeSim<'a>>),
+    Baseline(Box<NodeRuntime<'a, Baseline<'a>>>),
     /// The paper's scheduled node.
-    Scheduled(Box<ours::NodeSim<'a>>),
+    Scheduled(Box<NodeRuntime<'a, Scheduled>>),
+}
+
+/// Run `$body` with `$s` bound to whichever runtime `$sim` holds.
+macro_rules! each {
+    ($sim:expr, $s:ident => $body:expr) => {
+        match $sim {
+            NodeSim::Baseline($s) => $body,
+            NodeSim::Scheduled($s) => $body,
+        }
+    };
 }
 
 impl<'a> NodeSim<'a> {
-    /// Build an empty resumable node for `mode`; see
-    /// [`baseline::NodeSim::new`] / [`ours::NodeSim::new`].
+    /// Build an empty resumable node for `mode`: no calls yet, only the
+    /// node's fault timeline scheduled. `failover` (cluster runs under a
+    /// fault plan only) turns retries into cross-node [`Handoff`]s.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         catalogue: &'a Catalogue,
@@ -164,69 +176,59 @@ impl<'a> NodeSim<'a> {
         failover: bool,
     ) -> NodeSim<'a> {
         match mode {
-            NodeMode::Baseline => NodeSim::Baseline(Box::new(baseline::NodeSim::new(
-                catalogue, cfg, weights, faults, seed, node_index, failover,
+            NodeMode::Baseline => NodeSim::Baseline(Box::new(NodeRuntime::new(
+                catalogue,
+                cfg,
+                faults,
+                seed,
+                node_index,
+                failover,
+                Baseline::new(catalogue, cfg, weights),
             ))),
-            NodeMode::Scheduled(sched) => NodeSim::Scheduled(Box::new(ours::NodeSim::new(
-                catalogue, cfg, *sched, faults, seed, node_index, failover,
+            NodeMode::Scheduled(sched) => NodeSim::Scheduled(Box::new(NodeRuntime::new(
+                catalogue,
+                cfg,
+                faults,
+                seed,
+                node_index,
+                failover,
+                Scheduled::new(catalogue, cfg, *sched),
             ))),
         }
     }
 
     /// Append a release-sorted batch of calls and schedule their arrivals.
     pub fn inject(&mut self, calls: &[Call]) {
-        match self {
-            NodeSim::Baseline(s) => s.inject(calls),
-            NodeSim::Scheduled(s) => s.inject(calls),
-        }
+        each!(self, s => s.inject(calls))
     }
 
-    /// Re-inject a call another node failed over (see
-    /// [`step::Handoff`]).
+    /// Re-inject a call another node failed over (see [`step::Handoff`]).
     pub fn inject_handoff(&mut self, h: &Handoff, deliver_at: SimTime) {
-        match self {
-            NodeSim::Baseline(s) => s.inject_handoff(h, deliver_at),
-            NodeSim::Scheduled(s) => s.inject_handoff(h, deliver_at),
-        }
+        each!(self, s => s.inject_handoff(h, deliver_at))
     }
 
     /// Drain every event with `time <= horizon`, then report progress.
     pub fn advance_to(&mut self, horizon: SimTime) -> NodeProgress {
-        match self {
-            NodeSim::Baseline(s) => s.advance_to(horizon),
-            NodeSim::Scheduled(s) => s.advance_to(horizon),
-        }
+        each!(self, s => s.advance_to(horizon))
     }
 
     /// The current [`NodeProgress`] snapshot.
     pub fn progress(&self) -> NodeProgress {
-        match self {
-            NodeSim::Baseline(s) => s.progress(),
-            NodeSim::Scheduled(s) => s.progress(),
-        }
+        each!(self, s => s.progress())
     }
 
     /// Timestamp of the earliest still-queued event.
     pub fn next_event_time(&self) -> Option<SimTime> {
-        match self {
-            NodeSim::Baseline(s) => s.next_event_time(),
-            NodeSim::Scheduled(s) => s.next_event_time(),
-        }
+        each!(self, s => s.next_event_time())
     }
 
     /// Take the pending failover outbox.
     pub fn take_handoffs(&mut self) -> Vec<Handoff> {
-        match self {
-            NodeSim::Baseline(s) => s.take_handoffs(),
-            NodeSim::Scheduled(s) => s.take_handoffs(),
-        }
+        each!(self, s => s.take_handoffs())
     }
 
     /// Check conservation and assemble the [`NodeResult`].
     pub fn finish(self) -> NodeResult {
-        match self {
-            NodeSim::Baseline(s) => s.finish(),
-            NodeSim::Scheduled(s) => s.finish(),
-        }
+        each!(self, s => s.finish())
     }
 }

@@ -61,6 +61,17 @@ impl PoolStats {
     pub fn cold_starts(&self) -> u64 {
         self.prewarm_hits + self.cold_creates
     }
+
+    /// The counts accumulated since the `earlier` snapshot.
+    pub(crate) fn since(&self, earlier: PoolStats) -> PoolStats {
+        PoolStats {
+            warm_hits: self.warm_hits - earlier.warm_hits,
+            prewarm_hits: self.prewarm_hits - earlier.prewarm_hits,
+            cold_creates: self.cold_creates - earlier.cold_creates,
+            evictions: self.evictions - earlier.evictions,
+            placement_failures: self.placement_failures - earlier.placement_failures,
+        }
+    }
 }
 
 /// The result of a successful placement.

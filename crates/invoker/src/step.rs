@@ -1,52 +1,8 @@
-//! The resumable step API shared by both node simulators.
-//!
-//! # Contract
-//!
-//! Both [`crate::baseline::NodeSim`] and [`crate::ours::NodeSim`] expose the
-//! same lifecycle:
-//!
-//! ```text
-//! new(..) ──▶ inject(calls)* ──▶ [ advance_to(horizon) ]* ──▶ finish()
-//!                  ▲                      │
-//!                  └── inject_handoff ◀───┘ (between windows, via the
-//!                                            cluster engine)
-//! ```
-//!
-//! * `new` builds an empty simulator and schedules the node's fault
-//!   timeline (nothing else).
-//! * `inject` appends a release-sorted batch of calls and schedules their
-//!   arrivals. Calls may only be injected at (or after) the node's current
-//!   clock: the event queue rejects scheduling into the past, so a caller
-//!   must hand a node every call whose release falls inside a window
-//!   *before* advancing through that window.
-//! * `advance_to(horizon)` drains exactly the events with `time <=
-//!   horizon` ([`faas_simcore::events::EventQueue::pop_at_or_before`]) and
-//!   reports a [`NodeProgress`] snapshot. The node's clock never passes the
-//!   horizon, so the caller can interleave any number of nodes in
-//!   lock-step windows. `advance_to(SimTime::MAX)` runs to completion.
-//! * `finish` checks the conservation invariant (every injected call
-//!   completed XOR dropped XOR was handed off) and assembles the
-//!   [`crate::result::NodeResult`].
-//!
-//! Calling the legacy `simulate_*` entry points is *defined* as `new`,
-//! then one `inject` of the whole call list, then
-//! `advance_to(SimTime::MAX)`, then `finish`; the step extraction is
-//! pinned bit-identical to the old run-to-completion loops (same event
-//! order, same RNG consumption, same `peak_events` accounting — see the
-//! cluster crate's digest regression tests).
-//!
-//! # Cross-node failover
-//!
-//! With failover enabled (`new(.., failover: true)`, cluster runs only), a
-//! failed attempt that still has retries left is not retried locally:
-//! the call leaves the node as a [`Handoff`] carrying the attempts
-//! consumed so far and the instant its retry backoff expires. The cluster
-//! engine collects outboxes at each window barrier and re-injects every
-//! handoff on the least-loaded healthy node via `inject_handoff`, which
-//! charges one fresh dispatch hop (`hop_request`) like any arrival —
-//! failover goes back through the controller, unlike a local retry. The
-//! call's attempt counter carries across nodes, so a policy of `n`
-//! attempts spends `n` attempts cluster-wide, wherever they ran.
+//! The values the resumable step API exchanges with the cluster engine:
+//! the [`NodeProgress`] snapshot every `advance_to` window returns, and
+//! the [`Handoff`] a failed attempt leaves a node as under cross-node
+//! failover. The lifecycle contract of [`crate::NodeSim`] and the failover
+//! semantics are documented once, in the `runtime` module.
 
 use faas_simcore::time::SimTime;
 use faas_workload::trace::Call;

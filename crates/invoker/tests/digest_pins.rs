@@ -18,7 +18,7 @@ use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::faults::{DropReason, FaultSpec, RetryPolicy};
 use faas_workload::scenario::BurstScenario;
 use faas_workload::sebs::Catalogue;
-use faas_workload::trace::{Call, CallKind, ColdStartKind};
+use faas_workload::trace::{Call, CallKind};
 use faas_workload::weight::{WeightSpec, WeightTable};
 
 const WINDOW: SimDuration = SimDuration::from_millis(250);
@@ -42,12 +42,7 @@ fn fold_result(acc: &mut u64, r: &NodeResult) {
         fnv1a(acc, o.exec_end.as_nanos());
         fnv1a(acc, o.completion.as_nanos());
         fnv1a(acc, o.processing.as_nanos());
-        let sk = match o.start_kind {
-            ColdStartKind::Warm => 0u64,
-            ColdStartKind::Prewarm => 1,
-            ColdStartKind::Cold => 2,
-        };
-        fnv1a(acc, sk);
+        fnv1a(acc, o.start_kind as u64); // Warm 0, Prewarm 1, Cold 2
         fnv1a(acc, o.node as u64);
     }
     for d in &r.drops {
@@ -118,9 +113,26 @@ struct Case<'a> {
     weights: WeightTable,
     faults: FaultSpec,
     seed: u64,
+    burst_start: SimTime,
     shards: Vec<Vec<Call>>,
     failover: bool,
     cat: &'a Catalogue,
+}
+
+/// One node running a fault-free standard burst on the paper's node.
+fn case(cat: &Catalogue, mode: NodeMode, cores: u32, intensity: u32, seed: u64) -> Case<'_> {
+    let scenario = BurstScenario::standard(cores, intensity).generate(cat, seed);
+    Case {
+        mode,
+        cfg: NodeConfig::paper(cores),
+        weights: WeightTable::uniform(cat.len()),
+        faults: FaultSpec::none(),
+        seed,
+        burst_start: scenario.burst_start,
+        shards: vec![scenario.all_calls()],
+        failover: false,
+        cat,
+    }
 }
 
 impl Case<'_> {
@@ -149,7 +161,7 @@ impl Case<'_> {
         }
         let mut horizon = SimTime::ZERO;
         while nodes.iter().any(|n| n.next_event_time().is_some()) {
-            horizon = horizon + WINDOW;
+            horizon += WINDOW;
             for node in nodes.iter_mut() {
                 fold_progress(&mut acc, &node.advance_to(horizon));
             }
@@ -192,16 +204,6 @@ impl Case<'_> {
     }
 }
 
-fn scheduled(policy: Policy) -> NodeMode {
-    NodeMode::Scheduled(SchedulerConfig::paper(policy))
-}
-
-fn burst(cat: &Catalogue, cores: u32, intensity: u32, seed: u64) -> Vec<Call> {
-    BurstScenario::standard(cores, intensity)
-        .generate(cat, seed)
-        .all_calls()
-}
-
 /// Tiny memory backs the queue up under a tight pending timeout.
 fn starved(cat: &Catalogue, mode: NodeMode, max_attempts: u32) -> Case<'_> {
     let mut faults = FaultSpec::none();
@@ -209,131 +211,91 @@ fn starved(cat: &Catalogue, mode: NodeMode, max_attempts: u32) -> Case<'_> {
         max_attempts,
         pending_timeout: Some(SimDuration::from_secs(5)),
         backoff_base: SimDuration::from_millis(200),
-        backoff_factor: 2.0,
-        jitter: 0.5,
+        ..RetryPolicy::standard()
     };
     Case {
-        mode,
         cfg: NodeConfig::paper(4).with_memory_mb(1024),
-        weights: WeightTable::uniform(cat.len()),
         faults,
-        seed: 18,
-        shards: vec![burst(cat, 4, 60, 18)],
-        failover: false,
-        cat,
+        ..case(cat, mode, 4, 60, 18)
     }
 }
 
 fn degraded(cat: &Catalogue, mode: NodeMode) -> Case<'_> {
-    let scenario = BurstScenario::standard(10, 60).generate(cat, 15);
-    Case {
-        mode,
-        cfg: NodeConfig::paper(10),
-        weights: WeightTable::uniform(cat.len()),
-        faults: FaultSpec::degradation(15, scenario.burst_start, SimDuration::from_secs(60)),
-        seed: 15,
-        shards: vec![scenario.all_calls()],
-        failover: false,
-        cat,
-    }
+    let c = case(cat, mode, 10, 60, 15);
+    let faults = FaultSpec::degradation(15, c.burst_start, SimDuration::from_secs(60));
+    Case { faults, ..c }
 }
 
 fn tiers_mem(cat: &Catalogue, mode: NodeMode) -> Case<'_> {
     Case {
-        mode,
         cfg: NodeConfig::paper(10).with_mem_bandwidth(8.0),
         weights: WeightSpec::paper_tiers_mem().table(cat),
-        faults: FaultSpec::none(),
-        seed: 24,
-        shards: vec![burst(cat, 10, 60, 24)],
-        failover: false,
-        cat,
-    }
-}
-
-fn cgroup_lag(cat: &Catalogue) -> Case<'_> {
-    Case {
-        mode: NodeMode::Baseline,
-        cfg: NodeConfig::paper(10),
-        weights: WeightSpec::paper_tiers_cgroup_lag().table(cat),
-        faults: FaultSpec::none(),
-        seed: 25,
-        shards: vec![burst(cat, 10, 60, 25)],
-        failover: false,
-        cat,
-    }
-}
-
-fn oversubscribed(cat: &Catalogue) -> Case<'_> {
-    Case {
-        mode: scheduled(Policy::Fifo),
-        cfg: NodeConfig::paper(5).with_busy_limit_factor(2.0),
-        weights: WeightTable::uniform(cat.len()),
-        faults: FaultSpec::none(),
-        seed: 21,
-        shards: vec![burst(cat, 5, 60, 21)],
-        failover: false,
-        cat,
+        ..case(cat, mode, 10, 60, 24)
     }
 }
 
 /// Two nodes splitting one burst by call parity; node 0 crashes under an
 /// impatient retry policy and its failed attempts fail over to node 1.
 fn failover_pair(cat: &Catalogue, mode: NodeMode) -> Case<'_> {
-    let scenario = BurstScenario::standard(10, 60).generate(cat, 31);
+    let c = case(cat, mode, 10, 60, 31);
     let mut shards = vec![Vec::new(), Vec::new()];
-    for call in scenario.all_calls() {
+    for &call in &c.shards[0] {
         shards[(call.id.0 % 2) as usize].push(call);
     }
+    let faults = FaultSpec::crash_strict(31, c.burst_start, SimDuration::from_secs(60));
     Case {
-        mode,
-        cfg: NodeConfig::paper(10),
-        weights: WeightTable::uniform(cat.len()),
-        faults: FaultSpec::crash_strict(31, scenario.burst_start, SimDuration::from_secs(60)),
-        seed: 31,
+        faults,
         shards,
         failover: true,
-        cat,
+        ..c
     }
 }
-
-/// Digests captured before the two nodes were folded onto one runtime.
-const PINNED: [(&str, u64); 12] = [
-    ("starved/baseline", 9829553095319823930),
-    ("starved/fifo", 12459491526498693575),
-    ("starved-retry/baseline", 8727793784142749231),
-    ("starved-retry/fifo", 5422691062690079390),
-    ("degradation/baseline", 6044457600229271192),
-    ("degradation/sept", 3777104901660530393),
-    ("tiers-mem/baseline", 18127918910773680319),
-    ("tiers-mem/fair-choice", 1930419037810856766),
-    ("cgroup-lag/baseline", 1776354287581284365),
-    ("busy-limit-2x/fifo", 4601557519657088597),
-    ("failover-pair/baseline", 9995807812027420054),
-    ("failover-pair/fair-choice", 4799575681818699397),
-];
 
 #[test]
 fn node_outputs_match_their_pinned_digests() {
     let cat = Catalogue::sebs();
+    let sched = |policy| NodeMode::Scheduled(SchedulerConfig::paper(policy));
+    let (fifo, fc) = (sched(Policy::Fifo), sched(Policy::FairChoice));
+    let base = NodeMode::Baseline;
     let cases = [
-        starved(&cat, NodeMode::Baseline, 1),
-        starved(&cat, scheduled(Policy::Fifo), 1),
-        starved(&cat, NodeMode::Baseline, 3),
-        starved(&cat, scheduled(Policy::Fifo), 3),
-        degraded(&cat, NodeMode::Baseline),
-        degraded(&cat, scheduled(Policy::Sept)),
-        tiers_mem(&cat, NodeMode::Baseline),
-        tiers_mem(&cat, scheduled(Policy::FairChoice)),
-        cgroup_lag(&cat),
-        oversubscribed(&cat),
-        failover_pair(&cat, NodeMode::Baseline),
-        failover_pair(&cat, scheduled(Policy::FairChoice)),
+        starved(&cat, base, 1),
+        starved(&cat, fifo, 1),
+        starved(&cat, base, 3),
+        starved(&cat, fifo, 3),
+        degraded(&cat, base),
+        degraded(&cat, sched(Policy::Sept)),
+        tiers_mem(&cat, base),
+        tiers_mem(&cat, fc),
+        Case {
+            weights: WeightSpec::paper_tiers_cgroup_lag().table(&cat),
+            ..case(&cat, base, 10, 60, 25)
+        },
+        Case {
+            cfg: NodeConfig::paper(5).with_busy_limit_factor(2.0),
+            ..case(&cat, fifo, 5, 60, 21)
+        },
+        failover_pair(&cat, base),
+        failover_pair(&cat, fc),
     ];
-    let got: Vec<(&str, u64)> = PINNED
+    // Captured before the two nodes were folded onto one runtime.
+    let pinned = [
+        ("starved/baseline", 9829553095319823930),
+        ("starved/fifo", 12459491526498693575),
+        ("starved-retry/baseline", 8727793784142749231),
+        ("starved-retry/fifo", 5422691062690079390),
+        ("degradation/baseline", 6044457600229271192),
+        ("degradation/sept", 3777104901660530393),
+        ("tiers-mem/baseline", 18127918910773680319),
+        ("tiers-mem/fair-choice", 1930419037810856766),
+        ("cgroup-lag/baseline", 1776354287581284365),
+        ("busy-limit-2x/fifo", 4601557519657088597),
+        ("failover-pair/baseline", 9995807812027420054),
+        ("failover-pair/fair-choice", 4799575681818699397),
+    ];
+    let got: Vec<_> = pinned
         .iter()
         .zip(&cases)
-        .map(|(&(name, _), case)| (name, case.digest()))
+        .map(|(&(name, _), c)| (name, c.digest()))
         .collect();
-    assert_eq!(got, PINNED);
+    assert_eq!(got, pinned);
 }
