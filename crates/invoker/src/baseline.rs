@@ -164,8 +164,7 @@ impl<'a> Baseline<'a> {
         let call = n.calls[i as usize];
         let p = n.draw_service(call.func);
         let cpu_work = n.catalogue.spec(call.func).cpu_fraction * p;
-        n.rt[i as usize].exec_start = now;
-        n.rt[i as usize].p = p;
+        n.begin_exec(i, now, p);
         let share = self
             .weights
             .phase_share(call.func, call.kind, CallPhase::Exec);
@@ -311,12 +310,12 @@ impl Discipline for Baseline<'_> {
                 // oversubscribing the cores the OS overlaps this work,
                 // unlike the paper's dedicated-core regime where it idles
                 // the call's core.
-                let rt = n.rt[i as usize];
+                let p = n.rt[i as usize].p;
                 let mgmt = n
                     .cfg
                     .calibration
-                    .baseline_mgmt_secs(n.cfg.cores, rt.p, self.leased);
-                let processing = now.saturating_since(rt.exec_start);
+                    .baseline_mgmt_secs(n.cfg.cores, p, self.leased);
+                let processing = now.saturating_since(n.exec_start(i));
                 n.complete_attempt(now, i, SimDuration::from_secs_f64(mgmt), processing);
             }
         }

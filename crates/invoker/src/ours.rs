@@ -141,8 +141,7 @@ impl Discipline for Scheduled {
             }
             let exec_secs = p * (spec.cpu_fraction * slowdown + (1.0 - spec.cpu_fraction));
             let exec_start = now + SimDuration::from_secs_f64(init_secs);
-            n.rt[i as usize].exec_start = exec_start;
-            n.rt[i as usize].p = p;
+            n.begin_exec(i, exec_start, p);
             n.events.schedule(
                 exec_start + SimDuration::from_secs_f64(exec_secs),
                 Ev::Own(ExecDone(i, n.incarnation)),
@@ -156,20 +155,20 @@ impl Discipline for Scheduled {
         if inc != n.incarnation {
             return; // the attempt was killed by a crash
         }
-        let rt = n.rt[i as usize];
+        let p = n.rt[i as usize].p;
         let func = n.calls[i as usize].func;
         let spec = n.catalogue.spec(func);
         self.cpu_load -= spec.cpu_fraction;
         self.mem_load -= mem_units(spec.memory_mb);
         // The work was consumed whether or not the response survives the
         // transient-failure draw, so it counts as served either way.
-        self.served[0] += rt.p * spec.cpu_fraction;
+        self.served[0] += p * spec.cpu_fraction;
         if n.cfg.mem_bandwidth > 0.0 {
             self.served[1] +=
-                now.saturating_since(rt.exec_start).as_secs_f64() * mem_units(spec.memory_mb);
+                now.saturating_since(n.exec_start(i)).as_secs_f64() * mem_units(spec.memory_mb);
         }
-        let processing = SimDuration::from_secs_f64(rt.p);
-        let mgmt = SimDuration::from_secs_f64(n.cfg.calibration.mgmt_secs(n.cfg.cores, rt.p));
+        let processing = SimDuration::from_secs_f64(p);
+        let mgmt = SimDuration::from_secs_f64(n.cfg.calibration.mgmt_secs(n.cfg.cores, p));
         // The paper's invoker stores "the processing time" measured around
         // the whole container interaction (§IV-B); on a loaded node that
         // window includes the per-call container management, so the stored

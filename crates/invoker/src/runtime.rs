@@ -175,9 +175,8 @@ pub(crate) enum Ev<E> {
 }
 
 /// Where a call's current delivery attempt sits (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Phase {
-    #[default]
     Idle,
     Queued,
     Running,
@@ -189,21 +188,20 @@ enum Phase {
 
 /// Per-call fault state: delivery attempts begun so far (1-based once
 /// arrived) and the current attempt's phase.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct FaultCall {
     attempt: u32,
     phase: Phase,
 }
 
-/// Per-call state of the current delivery attempt.
+/// Per-call state of the current delivery attempt that its outcome slot
+/// does not hold (the slot records receive time, start kind and execution
+/// start as the attempt progresses).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CallRuntime {
-    pub(crate) invoker_receive: SimTime,
-    pub(crate) exec_start: SimTime,
     /// Intrinsic processing time drawn for the attempt (contention-free).
     pub(crate) p: f64,
-    pub(crate) start_kind: ColdStartKind,
-    pub(crate) container: Option<ContainerId>,
+    container: Option<ContainerId>,
 }
 
 /// The state both disciplines share, and the steps they call into.
@@ -262,7 +260,7 @@ impl<E> Node<'_, E> {
         let func = self.calls[idx].func;
         let mem = self.catalogue.spec(func).memory_mb as u64;
         let placement = self.pool.place(func, mem, now)?;
-        self.rt[idx].start_kind = placement.kind;
+        self.outcomes[idx].start_kind = placement.kind;
         self.rt[idx].container = Some(placement.container);
         if self.fault_on {
             self.fstate[idx].phase = Phase::Running;
@@ -281,6 +279,18 @@ impl<E> Node<'_, E> {
             }
             ColdStartKind::Cold => calib.coldstart_work.sample(&mut self.rng_cold),
         }
+    }
+
+    /// Call `i`'s attempt starts executing at `at` with intrinsic
+    /// processing time `p`.
+    pub(crate) fn begin_exec(&mut self, i: u32, at: SimTime, p: f64) {
+        self.outcomes[i as usize].exec_start = at;
+        self.rt[i as usize].p = p;
+    }
+
+    /// When call `i`'s current attempt started executing.
+    pub(crate) fn exec_start(&self, i: u32) -> SimTime {
+        self.outcomes[i as usize].exec_start
     }
 
     /// Draw an intrinsic processing time for `func`.
@@ -313,13 +323,13 @@ impl<E> Node<'_, E> {
     ) {
         let idx = i as usize;
         let call = self.calls[idx];
-        let rt = self.rt[idx];
+        let container = self.rt[idx].container;
         // Cleanup happens whether or not the response survives: the work
         // was consumed either way.
         self.events.schedule(
             now + mgmt,
             Ev::CleanupDone(
-                rt.container.expect("completed call must hold a container"),
+                container.expect("completed call must hold a container"),
                 self.incarnation,
             ),
         );
@@ -341,35 +351,31 @@ impl<E> Node<'_, E> {
         if self.fault_on {
             self.fstate[idx].phase = Phase::Done;
         }
-        self.outcomes[idx] = CallOutcome {
-            invoker_receive: rt.invoker_receive,
-            exec_start: rt.exec_start,
-            exec_end: now,
-            completion,
-            processing,
-            start_kind: rt.start_kind,
-            ..self.outcomes[idx]
-        };
+        let outcome = &mut self.outcomes[idx];
+        outcome.exec_end = now;
+        outcome.completion = completion;
+        outcome.processing = processing;
         if call.kind == CallKind::Measured {
             self.last_completion = self.last_completion.max(completion);
         }
     }
 
-    /// Append a call with its fault state; returns its index.
-    fn push_call(&mut self, call: Call, fault: FaultCall) -> u32 {
+    /// Append a call that has used `attempts` delivery attempts so far;
+    /// returns its index.
+    fn push_call(&mut self, call: Call, attempts: u32) -> u32 {
         let idx = self.calls.len() as u32;
         self.calls.push(call);
         self.rt.push(CallRuntime {
-            invoker_receive: SimTime::ZERO,
-            exec_start: SimTime::ZERO,
             p: 0.0,
-            start_kind: ColdStartKind::Warm,
             container: None,
         });
         self.outcomes
             .push(CallOutcome::pending(&call, self.node_index));
         if self.fault_on {
-            self.fstate.push(fault);
+            self.fstate.push(FaultCall {
+                attempt: attempts,
+                phase: Phase::Idle,
+            });
         }
         idx
     }
@@ -527,7 +533,7 @@ impl<'a, D: Discipline> NodeRuntime<'a, D> {
                 k == 0 || calls[k - 1].release <= call.release,
                 "calls must be sorted by release"
             );
-            let idx = n.push_call(*call, FaultCall::default());
+            let idx = n.push_call(*call, 0);
             n.events.schedule(
                 call.release + n.cfg.calibration.hop_request,
                 Ev::Arrive(idx),
@@ -541,11 +547,7 @@ impl<'a, D: Discipline> NodeRuntime<'a, D> {
     pub(crate) fn inject_handoff(&mut self, h: &Handoff, deliver_at: SimTime) {
         let n = &mut self.n;
         assert!(n.fault_on, "handoffs only exist under a fault plan");
-        let fault = FaultCall {
-            attempt: h.attempts,
-            phase: Phase::Idle,
-        };
-        let idx = n.push_call(h.call, fault);
+        let idx = n.push_call(h.call, h.attempts);
         n.events
             .schedule(deliver_at + n.cfg.calibration.hop_request, Ev::Arrive(idx));
     }
@@ -671,7 +673,7 @@ impl<'a, D: Discipline> NodeRuntime<'a, D> {
         if self.measured_snapshot.is_none() && n.calls[idx].kind == CallKind::Measured {
             self.measured_snapshot = Some(n.pool.stats());
         }
-        n.rt[idx].invoker_receive = now;
+        n.outcomes[idx].invoker_receive = now;
         if n.fault_on {
             debug_assert!(matches!(n.fstate[idx].phase, Phase::Idle | Phase::Backoff));
             n.begin_attempt(now, i);
