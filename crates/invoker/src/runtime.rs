@@ -82,8 +82,8 @@
 //! A call whose attempts are exhausted is dropped — excluded from
 //! `outcomes`, reported in [`NodeResult::drops`] — so every call resolves
 //! exactly once. All of this is dead state on fault-free runs: the
-//! per-call vector is allocated only under a non-trivial plan, keeping the
-//! no-fault path bit-identical to the simulator before faults existed.
+//! per-call vector is allocated only under a non-trivial plan, and every
+//! fault path is gated off, so fault-free runs schedule no fault events.
 //!
 //! # Cross-node failover
 //!
