@@ -7,19 +7,22 @@
 //! long before a statistical test would notice.
 
 use faas_cluster::{
-    run_cluster, run_cluster_streamed, run_cluster_streamed_coupled, run_cluster_streamed_faulted,
+    run_cluster, run_cluster_coupled, run_cluster_streamed, run_cluster_streamed_coupled,
+    run_cluster_streamed_faulted, run_cluster_trace_coupled, run_cluster_trace_streamed,
     ClusterConfig, ClusterScenario, LoadBalancer,
 };
 use faas_core::{Policy, SchedulerConfig};
 use faas_invoker::{NodeConfig, NodeMode, NodeResult};
-use faas_simcore::time::SimDuration;
+use faas_simcore::time::{SimDuration, SimTime};
 use faas_workload::arrival::ArrivalSpec;
 use faas_workload::faults::{DropReason, FaultSpec};
 use faas_workload::mix::MixSpec;
 use faas_workload::scenario::warmup_waves;
 use faas_workload::sebs::Catalogue;
+use faas_workload::synth::{SynthSpec, SyntheticTrace};
 use faas_workload::trace::{CallKind, ColdStartKind};
-use faas_workload::weight::WeightSpec;
+use faas_workload::trace_source::TraceSource;
+use faas_workload::weight::{WeightSpec, WeightTable};
 use faas_workload::WorkloadSpec;
 
 fn fnv1a(acc: &mut u64, x: u64) {
@@ -191,4 +194,160 @@ fn coupled_engine_hits_the_same_digests_under_static_infinite_windows() {
         22,
     ));
     assert_eq!([d1, d2, d4], [PINNED[0], PINNED[1], PINNED[3]]);
+}
+
+/// FNV-1a over a run's observable behaviour: every outcome field, every
+/// drop, the fault counters (failovers included) and the bits of the
+/// served work. Peaks are left out: they depend on where ingestion
+/// windows fall, not on what the cluster did.
+fn behaviour_digest(r: &NodeResult) -> u64 {
+    let mut acc = 0xcbf2_9ce4_8422_2325u64;
+    for o in &r.outcomes {
+        for x in [
+            o.id.0,
+            o.func.0 as u64,
+            matches!(o.kind, CallKind::Measured) as u64,
+            o.release.as_nanos(),
+            o.invoker_receive.as_nanos(),
+            o.exec_start.as_nanos(),
+            o.exec_end.as_nanos(),
+            o.completion.as_nanos(),
+            o.processing.as_nanos(),
+            o.start_kind as u64,
+            o.node as u64,
+        ] {
+            fnv1a(&mut acc, x);
+        }
+    }
+    for d in &r.drops {
+        for x in [
+            d.id.0,
+            d.func.0 as u64,
+            d.release.as_nanos(),
+            d.node as u64,
+            matches!(d.reason, DropReason::TimedOut) as u64,
+            d.attempts as u64,
+        ] {
+            fnv1a(&mut acc, x);
+        }
+    }
+    let fs = &r.fault_stats;
+    for x in [
+        fs.crashes,
+        fs.capacity_events,
+        fs.transient_failures,
+        fs.crash_kills,
+        fs.timeouts,
+        fs.retries,
+        fs.dropped,
+        fs.failovers,
+        r.served_cpu_secs.to_bits(),
+        r.served_mem_units.to_bits(),
+    ] {
+        fnv1a(&mut acc, x);
+    }
+    acc
+}
+
+fn synth(seed: u64) -> SyntheticTrace {
+    SyntheticTrace::new(
+        &SynthSpec::azure(8.0, SimDuration::from_secs(60)),
+        &Catalogue::sebs(),
+        SimTime::ZERO,
+        seed,
+    )
+}
+
+fn trace_faults() -> FaultSpec {
+    let mut faults = FaultSpec::crash_restart(21, SimTime::ZERO, SimDuration::from_secs(60));
+    faults.transient_failure = 0.05;
+    faults
+}
+
+/// Trace-replay and materialized-fault digests, captured before the
+/// cluster engines were folded into one window loop.
+const TRACE_PINNED: [u64; 11] = [
+    11740953161297997647,
+    12628662218544111592,
+    11740953161297997647,
+    12628662218544111592,
+    11740953161297997647,
+    12628662218544111592,
+    12433579994156991158,
+    17124542309105242162,
+    14378080303011415999,
+    1974648248669219372,
+    16856276605213020516,
+];
+
+#[test]
+fn trace_replays_and_faulted_materialized_runs_match_their_digests() {
+    let cat = Catalogue::sebs();
+    let fc = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
+    let none = FaultSpec::none();
+    let rr3 = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin);
+    let trace = synth(0x7E57);
+    let whole = trace.len() as usize;
+    let mut got = Vec::new();
+    let mut pin = |r: NodeResult| got.push(behaviour_digest(&r));
+
+    // Round-robin at one call, 64 calls and the whole trace per window.
+    for chunk in [1, 64, whole] {
+        for mode in [&NodeMode::Baseline, &fc] {
+            pin(run_cluster_trace_streamed(
+                &cat, &trace, mode, &rr3, &none, 5, chunk,
+            ));
+        }
+    }
+    let fh3 = ClusterConfig {
+        lb: LoadBalancer::FunctionHash,
+        ..rr3
+    };
+    pin(run_cluster_trace_streamed(
+        &cat, &trace, &fc, &fh3, &none, 5, 32,
+    ));
+    pin(run_cluster_trace_streamed(
+        &cat,
+        &trace,
+        &fc,
+        &rr3,
+        &trace_faults(),
+        7,
+        64,
+    ));
+    let jsq = ClusterConfig {
+        lb: LoadBalancer::JoinShortestQueue { seed: 3 },
+        ..rr3
+    }
+    .coupled(SimDuration::from_millis(500), false);
+    pin(run_cluster_trace_coupled(
+        &cat, &trace, &fc, &jsq, &none, 9, 64,
+    ));
+    let failover = rr3.coupled(SimDuration::from_millis(500), true);
+    pin(run_cluster_trace_coupled(
+        &cat,
+        &trace,
+        &fc,
+        &failover,
+        &trace_faults(),
+        11,
+        64,
+    ));
+
+    // A materialized scenario under faults with function-hash routing.
+    let sc = ClusterScenario::generate(&cat, 24, 10, SimDuration::from_secs(60), 4);
+    let (_, burst_start) = warmup_waves(&cat);
+    let mut faults = FaultSpec::crash_restart(33, burst_start, SimDuration::from_secs(60));
+    faults.transient_failure = 0.05;
+    let fh2 = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::FunctionHash);
+    pin(run_cluster_coupled(
+        &cat,
+        &sc,
+        &NodeMode::Baseline,
+        &fh2,
+        &WeightTable::uniform(cat.len()),
+        &faults,
+        3,
+    ));
+    assert_eq!(got, TRACE_PINNED);
 }
