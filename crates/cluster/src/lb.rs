@@ -10,17 +10,14 @@
 //! # Static vs feedback policies
 //!
 //! [`LoadBalancer::RoundRobin`] and [`LoadBalancer::FunctionHash`] are
-//! *static*: the assignment is a pure function of the call sequence, so the
-//! whole burst can be sharded up front and every node simulated
-//! independently. [`LoadBalancer::JoinShortestQueue`],
-//! [`LoadBalancer::PowerOfTwoChoices`] and their dominant-share twins
-//! [`LoadBalancer::JoinShortestDominant`] /
+//! *static*: the assignment is a pure function of the call sequence.
+//! [`LoadBalancer::JoinShortestQueue`], [`LoadBalancer::PowerOfTwoChoices`]
+//! and their dominant-share twins [`LoadBalancer::JoinShortestDominant`] /
 //! [`LoadBalancer::PowerOfTwoDominant`] are *feedback* policies: they
-//! route on the per-node state the coupled engine observes at each
-//! conservative-window barrier (see `crate::coupled`) — queue depths for
+//! route on the per-node state the engine observes at each
+//! conservative-window barrier (see [`crate::engine`]) — queue depths for
 //! the former pair, `(dominant resource share, backlog)` keys for the
-//! latter — so they only exist there; [`LoadBalancer::assign`] panics for
-//! them.
+//! latter. A [`Router`] carries the routing state of either kind.
 //!
 //! Feedback routing is deterministic by construction: every random draw
 //! (tie-breaks, the two probes of power-of-two) is a counter-based
@@ -33,6 +30,7 @@
 use faas_workload::sebs::FuncId;
 use faas_workload::trace::Call;
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// The controller's call-assignment policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -45,7 +43,7 @@ pub enum LoadBalancer {
     FunctionHash,
     /// Join-the-shortest-queue: each call goes to the healthy node with the
     /// smallest observed backlog (queued + in-flight), ties broken by a
-    /// seeded deterministic draw. Feedback policy — coupled engine only.
+    /// seeded deterministic draw. Feedback policy.
     JoinShortestQueue {
         /// Seed of the counter-based tie-break draws.
         seed: u64,
@@ -53,7 +51,7 @@ pub enum LoadBalancer {
     /// Power-of-two-choices: probe two seeded-random healthy nodes, route
     /// to the less loaded (first probe on a tie). The classic
     /// load-balancing result: two probes capture most of JSQ's benefit
-    /// without global state. Feedback policy — coupled engine only.
+    /// without global state. Feedback policy.
     PowerOfTwoChoices {
         /// Seed of the counter-based probe draws.
         seed: u64,
@@ -63,8 +61,7 @@ pub enum LoadBalancer {
     /// [`NodeView::dominant_milli`], backlog as the secondary key (so
     /// nodes with an unmodeled or idle memory axis still spread by queue
     /// depth). Routes multi-resource load around memory-bandwidth
-    /// hotspots that plain backlog counting cannot see. Feedback policy —
-    /// coupled engine only.
+    /// hotspots that plain backlog counting cannot see. Feedback policy.
     JoinShortestDominant {
         /// Seed of the counter-based tie-break draws.
         seed: u64,
@@ -72,7 +69,7 @@ pub enum LoadBalancer {
     /// Power-of-two-choices on the dominant resource share: probe two
     /// seeded-random healthy nodes, route to the one with the smaller
     /// `(dominant_milli, backlog)` key (first probe on a tie). Feedback
-    /// policy — coupled engine only.
+    /// policy.
     PowerOfTwoDominant {
         /// Seed of the counter-based probe draws.
         seed: u64,
@@ -80,8 +77,7 @@ pub enum LoadBalancer {
 }
 
 impl LoadBalancer {
-    /// Whether this policy routes on observed node state and therefore
-    /// requires the coupled cluster engine.
+    /// Whether this policy routes on observed node state.
     pub fn is_feedback(&self) -> bool {
         matches!(
             self,
@@ -91,37 +87,46 @@ impl LoadBalancer {
                 | LoadBalancer::PowerOfTwoDominant { .. }
         )
     }
+}
 
-    /// Assign every call to a node in `0..nodes`. Assignment is by arrival
-    /// order and deterministic. Panics for feedback policies — they have
-    /// no static assignment; route them through the coupled engine.
-    pub fn assign(&self, calls: &[Call], nodes: u16) -> Vec<u16> {
+/// The routing state of a [`LoadBalancer`], fed calls in release order.
+#[derive(Debug, Clone)]
+pub enum Router {
+    /// Round-robin: [`Call::stride_node`]. Every source numbers its calls
+    /// by position in release order, so striding the ids rotates across
+    /// workers in arrival order.
+    Stride,
+    /// Function-hash: per-function rotation counters, each starting at the
+    /// function's [`home_node`] and advanced in routing order.
+    Hash(BTreeMap<FuncId, u64>),
+    /// A feedback policy routing on the per-node views.
+    Feedback(FeedbackRouter),
+}
+
+impl Router {
+    /// The routing state of `lb`, before its first decision.
+    pub fn new(lb: LoadBalancer) -> Router {
+        match lb {
+            LoadBalancer::RoundRobin => Router::Stride,
+            LoadBalancer::FunctionHash => Router::Hash(BTreeMap::new()),
+            _ => Router::Feedback(FeedbackRouter::new(lb)),
+        }
+    }
+
+    /// Route `call` to a node in `0..views.len()` (one view per node;
+    /// static policies ignore their contents).
+    pub fn route(&mut self, call: &Call, views: &[NodeView]) -> u16 {
+        let nodes = views.len() as u16;
         assert!(nodes > 0, "cluster needs at least one node");
         match self {
-            LoadBalancer::RoundRobin => (0..calls.len())
-                .map(|i| (i % nodes as usize) as u16)
-                .collect(),
-            LoadBalancer::FunctionHash => {
-                // Per-function rotation seeded at the function's home node.
-                let mut counters: std::collections::BTreeMap<FuncId, u64> =
-                    std::collections::BTreeMap::new();
-                calls
-                    .iter()
-                    .map(|call| {
-                        let counter = counters.entry(call.func).or_insert(0);
-                        let home = home_node(call.func, nodes);
-                        let node = (home as u64 + *counter) % nodes as u64;
-                        *counter += 1;
-                        node as u16
-                    })
-                    .collect()
+            Router::Stride => call.stride_node(nodes),
+            Router::Hash(counters) => {
+                let counter = counters.entry(call.func).or_insert(0);
+                let node = (home_node(call.func, nodes) as u64 + *counter) % nodes as u64;
+                *counter += 1;
+                node as u16
             }
-            LoadBalancer::JoinShortestQueue { .. }
-            | LoadBalancer::PowerOfTwoChoices { .. }
-            | LoadBalancer::JoinShortestDominant { .. }
-            | LoadBalancer::PowerOfTwoDominant { .. } => {
-                panic!("feedback policies have no static assignment: use the coupled engine")
-            }
+            Router::Feedback(router) => router.route(views),
         }
     }
 }
@@ -268,6 +273,20 @@ mod tests {
     use faas_simcore::time::SimTime;
     use faas_workload::trace::{CallId, CallKind};
 
+    /// Route `calls` in order through a fresh router on idle views.
+    fn assign(lb: LoadBalancer, calls: &[Call], nodes: u16) -> Vec<u16> {
+        let views = vec![
+            NodeView {
+                backlog: 0,
+                alive: true,
+                dominant_milli: 0,
+            };
+            nodes as usize
+        ];
+        let mut router = Router::new(lb);
+        calls.iter().map(|c| router.route(c, &views)).collect()
+    }
+
     fn calls(n: usize) -> Vec<Call> {
         (0..n)
             .map(|i| Call {
@@ -282,7 +301,7 @@ mod tests {
     #[test]
     fn round_robin_is_balanced() {
         let cs = calls(100);
-        let assign = LoadBalancer::RoundRobin.assign(&cs, 4);
+        let assign = assign(LoadBalancer::RoundRobin, &cs, 4);
         for node in 0..4u16 {
             let count = assign.iter().filter(|&&n| n == node).count();
             assert_eq!(count, 25);
@@ -294,7 +313,7 @@ mod tests {
     #[test]
     fn function_hash_balances_per_function() {
         let cs = calls(400);
-        let assign = LoadBalancer::FunctionHash.assign(&cs, 4);
+        let assign = assign(LoadBalancer::FunctionHash, &cs, 4);
         // Each function's 100 calls spread evenly.
         for func in 0..4u16 {
             for node in 0..4u16 {
@@ -311,7 +330,7 @@ mod tests {
     #[test]
     fn function_hash_first_call_goes_home() {
         let cs = calls(4);
-        let assign = LoadBalancer::FunctionHash.assign(&cs, 3);
+        let assign = assign(LoadBalancer::FunctionHash, &cs, 3);
         for (c, &n) in cs.iter().zip(&assign) {
             if cs.iter().position(|x| x.func == c.func) == cs.iter().position(|x| x.id == c.id) {
                 assert_eq!(n, home_node(c.func, 3));
@@ -323,7 +342,7 @@ mod tests {
     fn single_node_assigns_everything_to_zero() {
         let cs = calls(10);
         for lb in [LoadBalancer::RoundRobin, LoadBalancer::FunctionHash] {
-            let assign = lb.assign(&cs, 1);
+            let assign = assign(lb, &cs, 1);
             assert!(assign.iter().all(|&n| n == 0));
         }
     }
@@ -331,7 +350,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one node")]
     fn zero_nodes_rejected() {
-        LoadBalancer::RoundRobin.assign(&calls(1), 0);
+        assign(LoadBalancer::RoundRobin, &calls(1), 0);
     }
 
     #[test]
@@ -348,8 +367,8 @@ mod tests {
     fn function_hash_is_deterministic_across_runs() {
         let cs = calls(257);
         for nodes in [2u16, 3, 8] {
-            let a = LoadBalancer::FunctionHash.assign(&cs, nodes);
-            let b = LoadBalancer::FunctionHash.assign(&cs, nodes);
+            let a = assign(LoadBalancer::FunctionHash, &cs, nodes);
+            let b = assign(LoadBalancer::FunctionHash, &cs, nodes);
             assert_eq!(a, b, "{nodes} nodes");
         }
     }
@@ -389,7 +408,7 @@ mod tests {
                 kind: CallKind::Measured,
             })
             .collect();
-        let assign = LoadBalancer::FunctionHash.assign(&cs, nodes);
+        let assign = assign(LoadBalancer::FunctionHash, &cs, nodes);
         let home = home_node(func, nodes);
         let expected: Vec<u16> = (0..12).map(|k| (home + k as u16) % nodes).collect();
         assert_eq!(assign, expected);
@@ -403,12 +422,6 @@ mod tests {
         assert!(LoadBalancer::PowerOfTwoChoices { seed: 0 }.is_feedback());
         assert!(LoadBalancer::JoinShortestDominant { seed: 0 }.is_feedback());
         assert!(LoadBalancer::PowerOfTwoDominant { seed: 0 }.is_feedback());
-    }
-
-    #[test]
-    #[should_panic(expected = "no static assignment")]
-    fn feedback_policies_refuse_static_assignment() {
-        LoadBalancer::JoinShortestQueue { seed: 1 }.assign(&calls(3), 2);
     }
 
     #[test]
@@ -565,7 +578,7 @@ mod tests {
                 kind: CallKind::Measured,
             })
             .collect();
-        let assign = LoadBalancer::FunctionHash.assign(&cs, nodes);
+        let assign = assign(LoadBalancer::FunctionHash, &cs, nodes);
         for f in 0..2u16 {
             let seq: Vec<u16> = cs
                 .iter()

@@ -5,45 +5,32 @@
 //! invocations to invokers, acting as a load balancer"), plus the
 //! multi-node experiment engine of §VIII.
 //!
-//! Worker nodes do not interact with each other in OpenWhisk — each invoker
-//! manages its own container pool and queue — so with a *static* routing
-//! policy a cluster simulation is exactly: (1) assign every measured call to
-//! a node with the load-balancer policy; (2) run one single-node simulation
-//! per worker (with its own warm-up, as the paper warms all workers);
-//! (3) merge the outcomes.
+//! One engine runs every cluster experiment: [`engine`] advances every
+//! node's resumable simulator in conservative lock-step windows of width
+//! [`ClusterConfig::lookahead`], routing each window's arrivals with the
+//! [`LoadBalancer`] on the node state seen at the last barrier and moving
+//! failed attempts across nodes when [`ClusterConfig::failover`] is on.
+//! Worker nodes do not interact in OpenWhisk, so with a static policy and
+//! `lookahead = MAX` the run is exactly one single-node simulation per
+//! worker on its share of the calls (each warmed, as the paper warms all
+//! workers), merged.
 //!
-//! Two scenario paths feed that independent engine: [`sim::run_cluster`]
-//! replays a materialized [`sim::ClusterScenario`] (the paper's fixed shared
-//! burst), and [`sim::run_cluster_streamed`] lets every node stream its own
-//! slice of a [`faas_workload::WorkloadSpec`] straight from the sharded
-//! generator — no shared call vector, no serialized assignment.
-//!
-//! Feedback policies ([`lb::LoadBalancer::JoinShortestQueue`],
-//! [`lb::LoadBalancer::PowerOfTwoChoices`]) and cross-node failover couple
-//! the nodes through the controller; those run on the [`coupled`] engine,
-//! which advances every node's resumable simulator in conservative
-//! lock-step windows of width [`sim::ClusterConfig::lookahead`] (see the
-//! [`coupled`] module docs for the protocol and its determinism argument).
-//!
-//! A third ingestion path replays fixed call logs: the [`trace_run`]
-//! engines pull a [`faas_workload::TraceSource`] (a recorded file or a
-//! lazily-synthesized trace) through bounded `chunk`-call ingestion
-//! windows, so a 10^8-call day streams through the cluster without ever
-//! being materialized. [`trace_run::run_cluster_source`] dispatches any
-//! [`faas_workload::WorkloadSource`] — analytic spec or trace — onto the
-//! right engine for the cluster configuration.
+//! Three sources feed the engine, each through a thin entry point:
+//! [`run_cluster`] replays a materialized [`ClusterScenario`] (the paper's
+//! fixed shared burst), [`run_cluster_streamed_coupled`] (and its
+//! per-node variant) generates a [`faas_workload::WorkloadSpec`] with the
+//! sharded generator, and [`run_cluster_trace_streamed`] pages a
+//! [`faas_workload::TraceSource`] with bounded memory, so a 10^8-call
+//! day streams through the cluster without being materialized.
+//! [`run_cluster_source`] takes either a spec or a trace.
 
-pub mod coupled;
+pub mod engine;
 pub mod lb;
 pub mod sim;
-pub mod trace_run;
 
-pub use coupled::{
-    run_cluster_coupled, run_cluster_streamed_coupled, run_cluster_streamed_coupled_per_node,
+pub use engine::{
+    run_cluster, run_cluster_source, run_cluster_streamed_coupled,
+    run_cluster_streamed_coupled_per_node, run_cluster_trace_streamed,
 };
-pub use lb::{FeedbackRouter, LoadBalancer, NodeView};
-pub use sim::{
-    run_cluster, run_cluster_faulted, run_cluster_streamed, run_cluster_streamed_faulted,
-    run_cluster_weighted, ClusterConfig, ClusterScenario,
-};
-pub use trace_run::{run_cluster_source, run_cluster_trace_coupled, run_cluster_trace_streamed};
+pub use lb::{FeedbackRouter, LoadBalancer, NodeView, Router};
+pub use sim::{ClusterConfig, ClusterScenario};

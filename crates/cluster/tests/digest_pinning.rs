@@ -1,15 +1,15 @@
-//! Pin the legacy cluster entry points to their pre-refactor behaviour.
+//! Pin the cluster entry points to digests captured from earlier engines.
 //!
 //! The step-API refactor rebuilt both node simulators around resumable
-//! `advance_to` loops and turned `simulate_*` into thin wrappers. These
-//! digests were captured from the pre-refactor engines; any drift in event
-//! ordering, RNG stream use or accounting shows up as a digest mismatch
-//! long before a statistical test would notice.
+//! `advance_to` loops, and the independent, coupled and trace-replay
+//! cluster engines were later folded into one window loop. These digests
+//! were captured before each change; any drift in event ordering, RNG
+//! stream use or accounting shows up as a digest mismatch long before a
+//! statistical test would notice.
 
 use faas_cluster::{
-    run_cluster, run_cluster_coupled, run_cluster_streamed, run_cluster_streamed_coupled,
-    run_cluster_streamed_faulted, run_cluster_trace_coupled, run_cluster_trace_streamed,
-    ClusterConfig, ClusterScenario, LoadBalancer,
+    run_cluster, run_cluster_streamed_coupled, run_cluster_trace_streamed, ClusterConfig,
+    ClusterScenario, LoadBalancer,
 };
 use faas_core::{Policy, SchedulerConfig};
 use faas_invoker::{NodeConfig, NodeMode, NodeResult};
@@ -22,7 +22,7 @@ use faas_workload::sebs::Catalogue;
 use faas_workload::synth::{SynthSpec, SyntheticTrace};
 use faas_workload::trace::{CallKind, ColdStartKind};
 use faas_workload::trace_source::TraceSource;
-use faas_workload::weight::{WeightSpec, WeightTable};
+use faas_workload::weight::WeightSpec;
 use faas_workload::WorkloadSpec;
 
 fn fnv1a(acc: &mut u64, x: u64) {
@@ -112,88 +112,37 @@ const PINNED: [u64; 6] = [
 ];
 
 #[test]
-fn legacy_entry_points_match_their_pre_refactor_digests() {
+fn cluster_runs_match_their_pre_refactor_digests() {
     let cat = Catalogue::sebs();
     let fc = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
+    let none = FaultSpec::none();
     let rr3 = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin);
     let rr1 = ClusterConfig { nodes: 1, ..rr3 };
     let fh2 = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::FunctionHash);
+    let run = |count: usize, mode: &NodeMode, cfg: &ClusterConfig, faults: &FaultSpec, seeds| {
+        let (scenario_seed, sim_seed) = seeds;
+        digest(&run_cluster_streamed_coupled(
+            &cat,
+            &spec(count),
+            mode,
+            cfg,
+            faults,
+            scenario_seed,
+            sim_seed,
+        ))
+    };
 
-    let d1 = digest(&run_cluster_streamed(
-        &cat,
-        &spec(132),
-        &NodeMode::Baseline,
-        &rr3,
-        1,
-        2,
-    ));
-    let d2 = digest(&run_cluster_streamed(&cat, &spec(132), &fc, &rr3, 1, 2));
-    let sc = ClusterScenario::generate(&cat, 12, 10, SimDuration::from_secs(60), 2);
+    let d1 = run(132, &NodeMode::Baseline, &rr3, &none, (1, 2));
+    let d2 = run(132, &fc, &rr3, &none, (1, 2));
+    let sc = ClusterScenario::generate(&cat, 12, SimDuration::from_secs(60), 2);
     let d3 = digest(&run_cluster(&cat, &sc, &NodeMode::Baseline, &fh2, 3));
     let (_, burst_start) = warmup_waves(&cat);
     let mut faults = FaultSpec::crash_restart(21, burst_start, SimDuration::from_secs(60));
     faults.transient_failure = 0.05;
-    let d4 = digest(&run_cluster_streamed_faulted(
-        &cat,
-        &spec(660),
-        &fc,
-        &rr3,
-        &faults,
-        21,
-        22,
-    ));
-    let d5 = digest(&run_cluster_streamed_faulted(
-        &cat,
-        &spec(660),
-        &NodeMode::Baseline,
-        &rr3,
-        &faults,
-        21,
-        22,
-    ));
-    let d6 = digest(&run_cluster_streamed(&cat, &spec(66), &fc, &rr1, 5, 6));
+    let d4 = run(660, &fc, &rr3, &faults, (21, 22));
+    let d5 = run(660, &NodeMode::Baseline, &rr3, &faults, (21, 22));
+    let d6 = run(66, &fc, &rr1, &none, (5, 6));
     assert_eq!([d1, d2, d3, d4, d5, d6], PINNED);
-}
-
-#[test]
-fn coupled_engine_hits_the_same_digests_under_static_infinite_windows() {
-    // The coupled engine with a static policy and `lookahead = MAX` is the
-    // independent engine: it must land on the very same pinned digests.
-    let cat = Catalogue::sebs();
-    let fc = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
-    let rr3 = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::RoundRobin);
-    let none = FaultSpec::none();
-    let d1 = digest(&run_cluster_streamed_coupled(
-        &cat,
-        &spec(132),
-        &NodeMode::Baseline,
-        &rr3,
-        &none,
-        1,
-        2,
-    ));
-    let d2 = digest(&run_cluster_streamed_coupled(
-        &cat,
-        &spec(132),
-        &fc,
-        &rr3,
-        &none,
-        1,
-        2,
-    ));
-    let (_, burst_start) = warmup_waves(&cat);
-    let mut faults = FaultSpec::crash_restart(21, burst_start, SimDuration::from_secs(60));
-    faults.transient_failure = 0.05;
-    let d4 = digest(&run_cluster_streamed_coupled(
-        &cat,
-        &spec(660),
-        &fc,
-        &rr3,
-        &faults,
-        21,
-        22,
-    ));
-    assert_eq!([d1, d2, d4], [PINNED[0], PINNED[1], PINNED[3]]);
 }
 
 /// FNV-1a over a run's observable behaviour: every outcome field, every
@@ -264,9 +213,9 @@ fn trace_faults() -> FaultSpec {
     faults
 }
 
-/// Trace-replay and materialized-fault digests, captured before the
-/// cluster engines were folded into one window loop.
-const TRACE_PINNED: [u64; 11] = [
+/// Trace-replay digests, captured before the cluster engines were folded
+/// into one window loop (the independent and coupled trace engines).
+const TRACE_PINNED: [u64; 10] = [
     11740953161297997647,
     12628662218544111592,
     11740953161297997647,
@@ -277,11 +226,10 @@ const TRACE_PINNED: [u64; 11] = [
     17124542309105242162,
     14378080303011415999,
     1974648248669219372,
-    16856276605213020516,
 ];
 
 #[test]
-fn trace_replays_and_faulted_materialized_runs_match_their_digests() {
+fn trace_replays_match_their_pre_refactor_digests() {
     let cat = Catalogue::sebs();
     let fc = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
     let none = FaultSpec::none();
@@ -320,11 +268,11 @@ fn trace_replays_and_faulted_materialized_runs_match_their_digests() {
         ..rr3
     }
     .coupled(SimDuration::from_millis(500), false);
-    pin(run_cluster_trace_coupled(
+    pin(run_cluster_trace_streamed(
         &cat, &trace, &fc, &jsq, &none, 9, 64,
     ));
     let failover = rr3.coupled(SimDuration::from_millis(500), true);
-    pin(run_cluster_trace_coupled(
+    pin(run_cluster_trace_streamed(
         &cat,
         &trace,
         &fc,
@@ -334,20 +282,5 @@ fn trace_replays_and_faulted_materialized_runs_match_their_digests() {
         64,
     ));
 
-    // A materialized scenario under faults with function-hash routing.
-    let sc = ClusterScenario::generate(&cat, 24, 10, SimDuration::from_secs(60), 4);
-    let (_, burst_start) = warmup_waves(&cat);
-    let mut faults = FaultSpec::crash_restart(33, burst_start, SimDuration::from_secs(60));
-    faults.transient_failure = 0.05;
-    let fh2 = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::FunctionHash);
-    pin(run_cluster_coupled(
-        &cat,
-        &sc,
-        &NodeMode::Baseline,
-        &fh2,
-        &WeightTable::uniform(cat.len()),
-        &faults,
-        3,
-    ));
     assert_eq!(got, TRACE_PINNED);
 }

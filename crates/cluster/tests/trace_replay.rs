@@ -1,11 +1,8 @@
 //! Integration tests of cluster-level trace replay: rerun identity,
 //! thread-count invariance, ingestion-window invariance, and the
-//! bounded-working-set contract, on both the independent and the coupled
-//! trace engines.
+//! bounded-working-set contract, with independent and coupled nodes.
 
-use faas_cluster::{
-    run_cluster_trace_coupled, run_cluster_trace_streamed, ClusterConfig, LoadBalancer,
-};
+use faas_cluster::{run_cluster_trace_streamed, ClusterConfig, LoadBalancer};
 use faas_core::{Policy, SchedulerConfig};
 use faas_invoker::{NodeConfig, NodeMode, NodeResult};
 use faas_simcore::time::{SimDuration, SimTime};
@@ -61,9 +58,10 @@ fn coupled_replay_is_thread_invariant() {
         LoadBalancer::JoinShortestQueue { seed: 7 },
     )
     .coupled(SimDuration::from_millis(500), false);
-    let parallel = run_cluster_trace_coupled(&cat, &t, &fc_mode(), &cfg, &FaultSpec::none(), 5, 64);
+    let parallel =
+        run_cluster_trace_streamed(&cat, &t, &fc_mode(), &cfg, &FaultSpec::none(), 5, 64);
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let serial = run_cluster_trace_coupled(&cat, &t, &fc_mode(), &cfg, &FaultSpec::none(), 5, 64);
+    let serial = run_cluster_trace_streamed(&cat, &t, &fc_mode(), &cfg, &FaultSpec::none(), 5, 64);
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_same_result(&parallel, &serial);
     assert_eq!(parallel.outcomes.len() as u64, t.len());

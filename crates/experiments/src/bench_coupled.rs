@@ -1,15 +1,15 @@
 //! Coupled-engine trajectory: `experiments bench` → `BENCH_coupled.json`.
 //!
-//! Times the conservative-window cluster engine against the independent
-//! path on the identical workload:
+//! Times the conservative-window cluster engine at one window against
+//! many on the identical workload:
 //!
 //! * **Overhead**: the §VIII fixed total load on a 4-node cluster under a
 //!   static round-robin policy, run through
-//!   [`faas_cluster::run_cluster_streamed`] (every node simulated to
-//!   completion independently) and through
-//!   [`faas_cluster::run_cluster_streamed_coupled`] with a finite
-//!   lookahead (lock-step windows, barrier per window). Both produce
-//!   bit-identical results — the ratio is the pure price of windowing.
+//!   [`faas_cluster::run_cluster_streamed_coupled`] with infinite
+//!   lookahead (one window: every node simulated to completion
+//!   independently) and with a finite lookahead (lock-step windows,
+//!   barrier per window). Both produce bit-identical results — the ratio
+//!   is the pure price of windowing.
 //! * **Feedback**: the same cluster under the strict crash preset routed
 //!   by join-shortest-queue with cross-node failover — the workload the
 //!   coupled engine exists for, so its wall-clock rides the trajectory
@@ -18,9 +18,7 @@
 //! The thread/core count is recorded alongside so trajectory points from
 //! different machines stay comparable.
 
-use faas_cluster::{
-    run_cluster_streamed, run_cluster_streamed_coupled, ClusterConfig, LoadBalancer,
-};
+use faas_cluster::{run_cluster_streamed_coupled, ClusterConfig, LoadBalancer};
 use faas_invoker::{NodeConfig, NodeMode};
 use faas_simcore::time::SimDuration;
 use faas_workload::arrival::ArrivalSpec;
@@ -67,7 +65,7 @@ pub fn run_level(intensity: u32) -> Vec<BenchEntry> {
     let none = FaultSpec::none();
 
     let independent = crate::median_ns(SAMPLES, || {
-        let r = run_cluster_streamed(&catalogue, &spec, &mode, &rr, 7, 8);
+        let r = run_cluster_streamed_coupled(&catalogue, &spec, &mode, &rr, &none, 7, 8);
         r.outcomes.len() as f64
     });
     let windowed = crate::median_ns(SAMPLES, || {

@@ -86,12 +86,11 @@ pub fn run() -> Vec<BenchEntry> {
     entries
 }
 
-/// The host's available parallelism, shared by the bench modules' thread
-/// stamp entries.
+/// The worker threads the benches actually ran on (`RAYON_NUM_THREADS`
+/// when set, else the host's available parallelism), shared by the bench
+/// modules' thread stamp entries.
 pub(crate) fn host_threads() -> f64 {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1) as f64
+    rayon::current_num_threads() as f64
 }
 
 /// Human-readable rendering of the entries.

@@ -15,11 +15,9 @@
 //!   speedup is ~1x by construction).
 //! * **cluster assignment at 256 nodes** — produce every node's sorted
 //!   call list. `filter` is the materialized path (each node scans the
-//!   full shared burst, as `run_cluster` does); `stream` is the
-//!   per-node stride of `run_cluster_streamed` (each node generates only
-//!   its own calls). The stream path does O(n) total call-generations
-//!   instead of O(n · nodes) scan steps, which is what keeps
-//!   hundreds-of-nodes clusters from serializing on scenario assignment.
+//!   full shared burst); `stream` is the per-node stride (each node
+//!   generates only its own calls). The stream path does O(n) total
+//!   call-generations instead of O(n · nodes) scan steps.
 
 use crate::bench_gps::BenchEntry;
 use faas_simcore::time::{SimDuration, SimTime};
@@ -63,8 +61,8 @@ fn checksum(calls: &[Call]) -> u64 {
         .fold(0u64, |acc, c| acc.wrapping_add(c.release.as_nanos()))
 }
 
-/// The streamed path of `run_cluster_streamed`: every node generates and
-/// sorts only its own stride, in parallel.
+/// The streamed path: every node generates and sorts only its own
+/// stride, in parallel.
 fn assign_stream(generator: &ShardedGenerator, nodes: u64) -> u64 {
     let node_ids: Vec<u64> = (0..nodes).collect();
     let sums: Vec<u64> = node_ids
@@ -78,8 +76,8 @@ fn assign_stream(generator: &ShardedGenerator, nodes: u64) -> u64 {
     sums.into_iter().fold(0u64, u64::wrapping_add)
 }
 
-/// The materialized path of `run_cluster`: one shared burst; every node
-/// scans it for its own calls (round-robin by position).
+/// The materialized path: one shared burst; every node scans it for its
+/// own calls (round-robin by position).
 fn assign_filter(burst: &[Call], nodes: u64) -> u64 {
     let node_ids: Vec<u64> = (0..nodes).collect();
     let sums: Vec<u64> = node_ids

@@ -234,7 +234,8 @@ mod tests {
         // Paper: FC cuts the dna mean stretch from 5.3 (SEPT) to 2.1 —
         // a ~2.5x improvement. The simulator reproduces the direction with
         // a weaker factor (queue-depth composition differs); require at
-        // least 1.2x on the mean (see EXPERIMENTS.md).
+        // least 1.2x on the mean (`experiments fig5` prints the full-scale
+        // means next to the paper's).
         let r = quick();
         let fc = row(&r, Strategy::Fc);
         let sept = row(&r, Strategy::Sept);

@@ -13,13 +13,13 @@
 //! pending queue, peak live event-heap size).
 //!
 //! The second table fixes the paper's §VIII total load and sweeps the
-//! worker count through [`faas_cluster::run_cluster_streamed`] (each node
-//! generating its own stride of the burst — the PR 3 follow-on), crossed
-//! with the weighted-container axis.
+//! worker count through [`faas_cluster::run_cluster_streamed_coupled`]
+//! (independent round-robin workers, one window), crossed with the
+//! weighted-container axis.
 //!
 //! The trace table replays Azure-style synthetic traces — Zipf mean
 //! rates, diurnal phase, MMPP bursts, correlated chains — through the
-//! bounded-memory streamed trace engine
+//! cluster engine's bounded-memory trace ingestion
 //! ([`faas_cluster::run_cluster_trace_streamed`]), putting a
 //! recorded-workload-shaped scenario column next to the parametric axes
 //! and reporting the ingestion working set per combination.
@@ -34,7 +34,7 @@
 use crate::grid::mode_for;
 use crate::Effort;
 use faas_cluster::{
-    run_cluster_streamed, run_cluster_streamed_coupled, run_cluster_streamed_coupled_per_node,
+    run_cluster_streamed_coupled, run_cluster_streamed_coupled_per_node,
     run_cluster_trace_streamed, ClusterConfig, LoadBalancer,
 };
 use faas_invoker::{simulate_calls_faulted, simulate_calls_weighted, NodeConfig};
@@ -665,8 +665,7 @@ fn run_fault_sweep(
 }
 
 /// The cluster-size sweep: the paper's fixed-total-load design (§VIII)
-/// through the streamed engine — every node generates its own stride of
-/// the burst, no shared call vector — crossed with the weighted axis.
+/// on independent round-robin workers, crossed with the weighted axis.
 fn run_cluster_sweep(
     catalogue: &Catalogue,
     cores: u32,
@@ -706,8 +705,8 @@ fn run_cluster_sweep(
         peak_events: usize,
     }
 
-    // The node loop inside run_cluster_streamed already fans out on rayon;
-    // run the configurations serially to keep peak memory flat.
+    // The cluster engine already fans the nodes out on rayon; run the
+    // configurations serially to keep peak memory flat.
     let outputs: Vec<ClusterOut> = tasks
         .iter()
         .map(|&(nodes, weights, strategy, seed)| {
@@ -722,11 +721,12 @@ fn run_cluster_sweep(
                 NodeConfig::paper(cores),
                 LoadBalancer::RoundRobin,
             );
-            let result = run_cluster_streamed(
+            let result = run_cluster_streamed_coupled(
                 catalogue,
                 &spec,
                 &mode_for(strategy),
                 &cfg,
+                &FaultSpec::none(),
                 seed,
                 seed ^ 0xC1u64,
             );
@@ -954,8 +954,8 @@ fn run_trace_sweep(
         peak_events: usize,
     }
 
-    // The node loop inside run_cluster_trace_streamed already fans out on
-    // rayon; run the configurations serially to keep peak memory flat.
+    // The cluster engine already fans the nodes out on rayon; run the
+    // configurations serially to keep peak memory flat.
     let outputs: Vec<TraceOut> = tasks
         .iter()
         .map(|&(spec, strategy, seed)| {

@@ -3,8 +3,9 @@
 //! The calibration constants are the bridge between the simulator and the
 //! paper's physical testbed. Each constant is anchored to a number the paper
 //! itself reports; `Calibration::paper()` documents the anchor next to each
-//! value. EXPERIMENTS.md records how well the calibrated simulator tracks
-//! every table and figure.
+//! value. `experiments all` prints every reproduced table and figure next
+//! to the paper's numbers, which shows how well the calibrated simulator
+//! tracks them.
 
 use faas_core::SchedulerConfig;
 use faas_simcore::dist::Distribution;

@@ -21,7 +21,7 @@
 //!   pinned to a full core, non-preemptive execution.
 //! * [`result`] — per-run outcome collection.
 //! * [`step`] — the progress snapshots and failover handoffs the step API
-//!   exchanges with the cluster crate's coupled engine.
+//!   exchanges with the cluster crate's window loop.
 //!
 //! [`NodeSim`] selects the discipline from a [`NodeMode`]; the `simulate_*`
 //! functions run one to completion. Both regimes consume the same

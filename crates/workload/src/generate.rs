@@ -18,9 +18,8 @@
 //!   gets its function from the mix via a seeded bijective
 //!   [`IndexPermutation`] (so exact-count mixes stay exact). Any partition
 //!   of the index space — contiguous chunks, per-node strides — yields the
-//!   same calls, which is what lets `run_cluster_streamed` generate and
-//!   assign work for hundreds of nodes in parallel without materializing
-//!   one shared call vector.
+//!   same calls, so a burst for hundreds of nodes is generated in
+//!   parallel chunks and each node's stride can be produced on its own.
 
 use crate::arrival::{ArrivalSpec, IntensityProfile};
 use crate::mix::{FunctionMix, MixSpec};

@@ -40,10 +40,9 @@ impl Call {
     ///
     /// A burst call's id is its generation index, so this is exactly the
     /// shard that `ShardedGenerator::iter_stride` hands node `k` — the
-    /// routing metadata that lets the coupled cluster engine reproduce the
-    /// streamed independent engine bit-for-bit under a static round-robin
-    /// policy, and lets tests ask "which node was this call released to?"
-    /// when checking cross-node failover.
+    /// cluster engine's round-robin routing, and what lets tests ask
+    /// "which node was this call released to?" when checking cross-node
+    /// failover.
     pub fn stride_node(&self, nodes: u16) -> u16 {
         assert!(nodes > 0, "cluster needs at least one node");
         (self.id.0 % nodes as u64) as u16

@@ -69,7 +69,7 @@ fn same_scenario_different_sim_seed_changes_service_times_only() {
 #[test]
 fn cluster_runs_are_reproducible() {
     let catalogue = Catalogue::sebs();
-    let scenario = ClusterScenario::generate(&catalogue, 24, 10, SimDuration::from_secs(60), 13);
+    let scenario = ClusterScenario::generate(&catalogue, 24, SimDuration::from_secs(60), 13);
     let cfg = ClusterConfig::independent(3, NodeConfig::paper(10), LoadBalancer::FunctionHash);
     let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::FairChoice));
     let a = run_cluster(&catalogue, &scenario, &mode, &cfg, 13);

@@ -1,5 +1,6 @@
 //! Integration tests pinning the paper's headline claims, at reduced scale
-//! so the suite stays fast. EXPERIMENTS.md holds the full-scale numbers.
+//! so the suite stays fast. `experiments all` prints the full-scale
+//! numbers.
 
 use faas_scheduling::prelude::*;
 
@@ -207,7 +208,6 @@ fn fc_on_three_nodes_beats_baseline_on_four() {
     let scenario = ClusterScenario::generate(
         &catalogue,
         216, // 2376 requests total, as in SSVIII
-        18,
         SimDuration::from_secs(60),
         12,
     );
