@@ -103,7 +103,7 @@ pub fn run_cluster(
         faults: &FaultSpec::none(),
         sim_seed: seed,
     };
-    NodeResult::merge(nodes.run(scenario.burst.iter().copied(), &warmup, None))
+    NodeResult::merge(nodes.run(&mut scenario.burst.iter().copied(), &warmup, None))
 }
 
 /// Run a [`WorkloadSpec`] under a fault plan. The burst is generated in
@@ -159,7 +159,7 @@ pub fn run_cluster_streamed_coupled_per_node(
         faults,
         sim_seed,
     };
-    nodes.run(burst, &warmup, None)
+    nodes.run(&mut burst.into_iter(), &warmup, None)
 }
 
 /// Replay a trace with at most `chunk` calls per node held for routing
@@ -185,7 +185,7 @@ pub fn run_cluster_trace_streamed(
         faults,
         sim_seed,
     };
-    NodeResult::merge(nodes.run(trace.iter_chunk(0, trace.len()), &[], Some(chunk)))
+    NodeResult::merge(nodes.run(&mut trace.iter_chunk(0, trace.len()), &[], Some(chunk)))
 }
 
 /// Run any [`WorkloadSource`] — analytic spec or trace — under any
@@ -283,7 +283,7 @@ impl Nodes<'_> {
     /// `chunk` (trace sources only) bounds each node's pending batch.
     fn run(
         self,
-        arrivals: impl IntoIterator<Item = Call>,
+        arrivals: &mut dyn Iterator<Item = Call>,
         warmup: &[Call],
         chunk: Option<usize>,
     ) -> Vec<NodeResult> {
@@ -316,7 +316,7 @@ impl Nodes<'_> {
                 }
             })
             .collect();
-        let mut arrivals = arrivals.into_iter().peekable();
+        let mut arrivals = arrivals.peekable();
         let mut router = Router::new(cfg.lb);
         // The controller's view: each node's backlog at the last barrier
         // plus the calls routed there since, and its last liveness.
@@ -805,7 +805,7 @@ mod tests {
             sim_seed: 3,
         };
         let warmup = sc.node_warmup(10, sc.burst.len() as u64);
-        let r = NodeResult::merge(nodes.run(sc.burst.iter().copied(), &warmup, None));
+        let r = NodeResult::merge(nodes.run(&mut sc.burst.iter().copied(), &warmup, None));
         let mut acc = 0xcbf2_9ce4_8422_2325u64;
         let mut eat = |x: u64| {
             for b in x.to_le_bytes() {
