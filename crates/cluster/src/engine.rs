@@ -52,9 +52,10 @@
 //! (never past an undelivered handoff of the current window) and takes
 //! the batch. A flush refreshes no view and collects no outbox, so it is
 //! not a barrier and cannot change the schedule; it only keeps the calls
-//! held for routing within `chunk × nodes`, however long the trace. The
-//! largest batch handed to each node, summed over nodes, is reported as
-//! [`NodeResult::peak_resident_calls`].
+//! held for routing within `chunk × nodes`, however long the trace (plus
+//! one page of at most `chunk` calls being synthesized in parallel ahead
+//! of the router). The largest batch handed to each node, summed over
+//! nodes, is reported as [`NodeResult::peak_resident_calls`].
 //!
 //! # Cross-node failover
 //!
@@ -185,7 +186,26 @@ pub fn run_cluster_trace_streamed(
         faults,
         sim_seed,
     };
-    NodeResult::merge(nodes.run(&mut trace.iter_chunk(0, trace.len()), &[], Some(chunk)))
+    let mut arrivals = pages(trace, chunk as u64);
+    NodeResult::merge(nodes.run(&mut arrivals, &[], Some(chunk)))
+}
+
+/// `trace` in index (= release) order, synthesized one page of up to
+/// `page` calls at a time with each page split across the worker threads,
+/// so ingestion stays parallel although routing is sequential.
+fn pages(trace: &dyn TraceSource, page: u64) -> impl Iterator<Item = Call> + '_ {
+    let len = trace.len();
+    let page = page.clamp(1, len.max(1));
+    (0..len).step_by(page as usize).flat_map(move |lo| {
+        let hi = (lo + page).min(len);
+        let step = (hi - lo).div_ceil(rayon::current_num_threads() as u64);
+        let starts: Vec<u64> = (lo..hi).step_by(step as usize).collect();
+        let parts: Vec<Vec<Call>> = starts
+            .par_iter()
+            .map(|&a| trace.iter_chunk(a, (a + step).min(hi)).collect())
+            .collect();
+        parts.into_iter().flatten()
+    })
 }
 
 /// Run any [`WorkloadSource`] — analytic spec or trace — under any
