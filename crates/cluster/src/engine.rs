@@ -52,10 +52,11 @@
 //! (never past an undelivered handoff of the current window) and takes
 //! the batch. A flush refreshes no view and collects no outbox, so it is
 //! not a barrier and cannot change the schedule; it only keeps the calls
-//! held for routing within `chunk × nodes`, however long the trace (plus
-//! one page of at most `chunk` calls being synthesized in parallel ahead
-//! of the router). The largest batch handed to each node, summed over
-//! nodes, is reported as [`NodeResult::peak_resident_calls`].
+//! held for routing within `chunk × nodes`, however long the trace. Ahead
+//! of the router, the trace is synthesized in pages of `chunk × nodes`
+//! calls, each split across the worker threads. The largest batch handed
+//! to each node, summed over nodes, is reported as
+//! [`NodeResult::peak_resident_calls`].
 //!
 //! # Cross-node failover
 //!
@@ -186,13 +187,15 @@ pub fn run_cluster_trace_streamed(
         faults,
         sim_seed,
     };
-    let mut arrivals = pages(trace, chunk as u64);
+    let mut arrivals = pages(trace, chunk as u64 * cfg.nodes as u64);
     NodeResult::merge(nodes.run(&mut arrivals, &[], Some(chunk)))
 }
 
 /// `trace` in index (= release) order, synthesized one page of up to
 /// `page` calls at a time with each page split across the worker threads,
-/// so ingestion stays parallel although routing is sequential.
+/// so ingestion stays parallel although routing is sequential. A page as
+/// large as a full round of batches keeps the parallel sections per call
+/// few.
 fn pages(trace: &dyn TraceSource, page: u64) -> impl Iterator<Item = Call> + '_ {
     let len = trace.len();
     let page = page.clamp(1, len.max(1));
