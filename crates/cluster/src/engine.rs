@@ -187,7 +187,7 @@ pub fn run_cluster_trace_streamed(
         faults,
         sim_seed,
     };
-    let mut arrivals = pages(trace, chunk as u64 * cfg.nodes as u64);
+    let mut arrivals = pages(trace, (chunk as u64).saturating_mul(cfg.nodes as u64));
     NodeResult::merge(nodes.run(&mut arrivals, &[], Some(chunk)))
 }
 
@@ -613,7 +613,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_function_hash_falls_back_to_materialized_assignment() {
+    fn streamed_function_hash_serves_every_call_on_both_nodes() {
         let cat = catalogue();
         let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::FunctionHash);
         let r = run_cluster_streamed_coupled(
@@ -711,7 +711,7 @@ mod tests {
     }
 
     #[test]
-    fn streamed_weighted_function_hash_fallback_applies_weights() {
+    fn streamed_weighted_function_hash_applies_weights() {
         let cat = catalogue();
         let cfg = ClusterConfig::independent(2, NodeConfig::paper(10), LoadBalancer::FunctionHash);
         // The tiered model includes a 0.5-core cap, which binds even on an
@@ -743,7 +743,7 @@ mod tests {
         );
         assert_ne!(
             weighted.outcomes, uniform.outcomes,
-            "weights must reach the materialized fallback path"
+            "weights must reach function-hash routed nodes"
         );
     }
 
@@ -778,11 +778,10 @@ mod tests {
 
     #[test]
     fn fault_timelines_are_shard_invariant() {
-        // The identical per-node fault schedule reaches both streamed
-        // paths: the stride path and the materialize-and-assign fallback
-        // derive each worker's timeline from `(faults, node)` alone, so
-        // degrading node 1 shows up in both (different LB policies route
-        // different calls, so only the fault accounting is comparable).
+        // Each worker's timeline derives from `(faults, node)` alone, so
+        // degrading node 1 shows up identically under both static
+        // policies (they route different calls, so only the fault
+        // accounting is comparable).
         let cat = catalogue();
         let spec = streamed_spec(132);
         let (_, burst_start) = warmup_waves(&cat);
@@ -792,13 +791,13 @@ mod tests {
             run_cluster_streamed_coupled(&cat, &spec, &NodeMode::Baseline, &cfg, &faults, 31, 32)
         };
         let stride = run_with(LoadBalancer::RoundRobin);
-        let fallback = run_with(LoadBalancer::FunctionHash);
+        let hash = run_with(LoadBalancer::FunctionHash);
         assert_eq!(
-            stride.fault_stats.capacity_events, fallback.fault_stats.capacity_events,
-            "both sharding paths replay the same capacity schedule"
+            stride.fault_stats.capacity_events, hash.fault_stats.capacity_events,
+            "both policies replay the same capacity schedule"
         );
         assert!(stride.fault_stats.capacity_events > 0);
-        assert!(stride.drops.is_empty() && fallback.drops.is_empty());
+        assert!(stride.drops.is_empty() && hash.drops.is_empty());
     }
 
     fn crash_faults(seed: u64) -> FaultSpec {

@@ -85,12 +85,14 @@ pub struct NodeResult {
     /// is a simulator-health metric, not a modelled quantity: it bounds the
     /// event heap's memory and guards against stale-event buildup.
     pub peak_events: usize,
-    /// Largest number of calls resident in the ingestion window buffers of
-    /// a trace-streamed run — the bounded-memory RSS proxy. Zero for runs
-    /// that materialize their call list up front. Unlike the other peaks,
-    /// cluster merges *sum* this field: the cluster's resident set is the
-    /// sum of its nodes' windows, which is what the `chunk × nodes` bound
-    /// is stated against.
+    /// Largest ingestion batch handed to the node in a trace-streamed run
+    /// — the bounded-memory RSS proxy. The cluster engine hands a node its
+    /// batch when the batch reaches `chunk` calls (a flush: every node
+    /// takes its pending batch) or at a window barrier, so this never
+    /// exceeds `chunk`. Zero for runs that materialize their call list up
+    /// front. Unlike the other peaks, cluster merges *sum* this field: the
+    /// cluster's resident set is the sum of its nodes' batches, which is
+    /// what the `chunk × nodes` bound is stated against.
     pub peak_resident_calls: u64,
     /// Completion time of the last measured call.
     pub last_completion: SimTime,
