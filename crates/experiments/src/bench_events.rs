@@ -18,6 +18,11 @@
 //!   the tick pattern, so the storm entry is the representative one;
 //!   end-to-end node wall time (`baseline_node_c10_v90_wall` in
 //!   `BENCH_gps.json`) is the tie-breaker.
+//! * **arrivals** — the trace-replay shape: a release-ordered batch of
+//!   pre-scheduled arrivals drained alongside a small population of
+//!   in-flight timers. It times the arrivals going through the heap
+//!   (`schedule`) against the release-ordered arrival lane
+//!   (`schedule_ordered`), which keeps the heap at the timer population.
 //!
 //! Entries land in `BENCH_events.json` next to `BENCH_gps.json`, in the
 //! same `{"name", "value", "unit"}` dashboard style.
@@ -238,6 +243,45 @@ fn hold_lazy() -> u64 {
     checksum
 }
 
+/// Pre-scheduled arrivals in the replay shape (one node's trace batch).
+const ARRIVALS: usize = 8192;
+/// In-flight timers (GPS tick, I/O completions, cleanups, prewarms).
+const TIMERS: usize = 128;
+
+/// Replay shape: `ARRIVALS` release-ordered arrivals about 1 ms apart are
+/// scheduled up front (through the lane when `lane`, else the heap), then
+/// drained with `TIMERS` hold-model timers firing about 4 times per
+/// arrival, as a replayed node's event loop does. Returns an
+/// order-sensitive checksum of the pop sequence.
+fn arrivals(lane: bool) -> u64 {
+    let mut q = EventQueue::new();
+    let mut gaps = Gaps(0x2545F4914F6CDD1D);
+    let mut release = 0u64;
+    for i in 0..ARRIVALS as u64 {
+        release += gaps.next_millis() / 100;
+        let time = SimTime::from_millis(release);
+        if lane {
+            q.schedule_ordered(time, i);
+        } else {
+            q.schedule(time, i);
+        }
+    }
+    for i in 0..TIMERS as u64 {
+        q.schedule(SimTime::from_millis(gaps.next_millis() / 3), u64::MAX - i);
+    }
+    let (mut left, mut checksum) = (ARRIVALS, 0u64);
+    while left > 0 {
+        let (now, id) = q.pop().expect("timers never drain");
+        checksum = checksum.wrapping_mul(31).wrapping_add(id);
+        if id < ARRIVALS as u64 {
+            left -= 1;
+        } else {
+            q.schedule(now + SimDuration::from_millis(gaps.next_millis() / 3), id);
+        }
+    }
+    checksum
+}
+
 /// Run the event-queue benchmarks.
 pub fn run() -> Vec<BenchEntry> {
     let mut entries = Vec::new();
@@ -270,6 +314,23 @@ pub fn run() -> Vec<BenchEntry> {
         value: hold_lzy,
         unit: "ns/op".into(),
     });
+    let arrivals_heap = crate::median_ns(SAMPLES, || arrivals(false)) / ARRIVALS as f64;
+    let arrivals_lane = crate::median_ns(SAMPLES, || arrivals(true)) / ARRIVALS as f64;
+    entries.push(BenchEntry {
+        name: format!("event_queue_arrivals_n{ARRIVALS}_heap"),
+        value: arrivals_heap,
+        unit: "ns/op".into(),
+    });
+    entries.push(BenchEntry {
+        name: format!("event_queue_arrivals_n{ARRIVALS}_lane"),
+        value: arrivals_lane,
+        unit: "ns/op".into(),
+    });
+    entries.push(BenchEntry {
+        name: format!("event_queue_arrivals_n{ARRIVALS}_speedup"),
+        value: arrivals_heap / arrivals_lane,
+        unit: "x".into(),
+    });
     entries.push(BenchEntry {
         name: "event_queue_threads".into(),
         value: crate::bench_gps::host_threads(),
@@ -297,8 +358,9 @@ mod tests {
         // the benchmark compares equivalent work, not different schedules.
         assert_eq!(tick_storm_indexed(), tick_storm_lazy());
         assert_eq!(hold_indexed(), hold_lazy());
+        assert_eq!(arrivals(false), arrivals(true));
         let entries = run();
-        assert_eq!(entries.len(), 6);
+        assert_eq!(entries.len(), 9);
         for e in &entries {
             assert!(e.value > 0.0, "{} must be positive", e.name);
         }

@@ -81,9 +81,11 @@ pub struct NodeResult {
     pub peak_queue: usize,
     /// Largest number of simultaneously leased containers observed.
     pub peak_concurrency: usize,
-    /// Largest number of live entries in the simulator's event queue. This
-    /// is a simulator-health metric, not a modelled quantity: it bounds the
-    /// event heap's memory and guards against stale-event buildup.
+    /// Largest number of live entries in the simulator's event queue:
+    /// queued arrivals (the arrival lane) plus in-flight timers (the heap).
+    /// This is a simulator-health metric, not a modelled quantity: it
+    /// bounds the event queue's memory and guards against stale-event
+    /// buildup.
     pub peak_events: usize,
     /// Largest ingestion batch handed to the node in a trace-streamed run
     /// — the bounded-memory RSS proxy. The cluster engine hands a node its

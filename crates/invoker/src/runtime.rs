@@ -28,10 +28,13 @@
 //!   timeline (nothing else), before any arrival, so a fault at the same
 //!   instant as an arrival fires first.
 //! * `inject` appends a release-sorted batch of calls and schedules their
-//!   arrivals. Calls may only be injected at (or after) the node's current
-//!   clock: the event queue rejects scheduling into the past, so a caller
-//!   must hand a node every call whose release falls inside a window
-//!   *before* advancing through that window.
+//!   arrivals on the event queue's release-ordered arrival lane
+//!   ([`EventQueue::schedule_ordered`]), so the heap holds only in-flight
+//!   timers; handoffs, retries, timeouts and the discipline's events stay
+//!   on the heap. Calls may only be injected at (or after) the node's
+//!   current clock: the event queue rejects scheduling into the past, so a
+//!   caller must hand a node every call whose release falls inside a
+//!   window *before* advancing through that window.
 //! * `advance_to(horizon)` drains exactly the events with `time <=
 //!   horizon` ([`EventQueue::pop_at_or_before`]) and reports a
 //!   [`NodeProgress`] snapshot. The node's clock never passes the horizon,
@@ -525,7 +528,8 @@ impl<'a, D: Discipline> NodeRuntime<'a, D> {
         }
     }
 
-    /// Append a release-sorted batch of calls and schedule their arrivals.
+    /// Append a release-sorted batch of calls and schedule their arrivals
+    /// on the event queue's arrival lane.
     pub(crate) fn inject(&mut self, calls: &[Call]) {
         let n = &mut self.n;
         for (k, call) in calls.iter().enumerate() {
@@ -534,7 +538,7 @@ impl<'a, D: Discipline> NodeRuntime<'a, D> {
                 "calls must be sorted by release"
             );
             let idx = n.push_call(*call, 0);
-            n.events.schedule(
+            n.events.schedule_ordered(
                 call.release + n.cfg.calibration.hop_request,
                 Ev::Arrive(idx),
             );

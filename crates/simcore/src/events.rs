@@ -16,23 +16,47 @@
 //! * [`EventQueue::cancel`] physically removes the entry (swap with the last
 //!   element, then sift to restore the heap property). There are no lazily
 //!   discarded tombstones: after a cancel, [`EventQueue::len`] *is* the
-//!   number of entries in the heap array, and memory is bounded by the live
-//!   event count however cancellation-heavy the workload is.
+//!   number of entries in the heap array (plus the arrival lane, below),
+//!   and memory is bounded by the live event count however
+//!   cancellation-heavy the workload is.
 //! * [`EventQueue::reschedule`] moves an event to a new time in place
 //!   (decrease/increase-key), assigning a fresh sequence number so the
 //!   operation is observably identical to cancel-plus-schedule — a
 //!   rescheduled event fires after events already scheduled at its new
 //!   timestamp, preserving the FIFO tie-break.
-//! * [`EventQueue::peek_time`] is a true `&self` read of the heap root —
-//!   there are no cancelled heads to discard.
+//! * [`EventQueue::peek_time`] is a true `&self` read of the heap root (and
+//!   the lane head) — there are no cancelled heads to discard.
 //!
 //! Handles stay cheap and `Copy`: a handle packs a slot index and an epoch;
 //! the slot's epoch is bumped whenever its event pops or is cancelled, so a
 //! dead handle (including one whose slot was since reused) is recognised and
 //! `cancel` stays a true no-op for it. The per-event hash map the previous
 //! lazy-cancellation design kept on the schedule/pop hot path is gone.
+//!
+//! # Arrival lane
+//!
+//! Exogenous arrivals come pre-sorted and in bulk: a node is handed a whole
+//! release-ordered batch before any of it fires. Sifting each of them
+//! through the heap would grow it to the batch size although only a few
+//! timers are ever in flight. [`EventQueue::schedule_ordered`] therefore
+//! appends to a second, release-ordered lane (a `VecDeque` whose times never
+//! decrease) instead:
+//!
+//! * the event takes its sequence number from the same counter as
+//!   [`EventQueue::schedule`], so it sits in the same `(time, seq)` total
+//!   order it would have had in the heap;
+//! * an event earlier than the lane's tail falls back to the heap, so the
+//!   lane stays sorted whatever the input;
+//! * [`EventQueue::pop`], [`EventQueue::pop_at_or_before`] and
+//!   [`EventQueue::peek_time`] take the smaller of the lane head and the
+//!   heap root by `(time, seq)`, and [`EventQueue::len`] counts both.
+//!
+//! The pop order is thus exactly the one an all-heap queue would give; only
+//! the heap shrinks to the in-flight timers. Lane events take no handle:
+//! they cannot be cancelled or rescheduled.
 
 use crate::time::SimTime;
+use std::collections::VecDeque;
 
 /// Identifies a scheduled event so it can be cancelled or rescheduled.
 ///
@@ -70,6 +94,9 @@ pub struct EventQueue<E> {
     slots: Vec<Slot>,
     /// Slots whose event popped or was cancelled, available for reuse.
     free_slots: Vec<u32>,
+    /// Handle-less `(time, seq, payload)` events in non-decreasing `time`
+    /// (see the module docs' arrival lane).
+    lane: VecDeque<(SimTime, u64, E)>,
     next_seq: u64,
     now: SimTime,
 }
@@ -87,6 +114,7 @@ impl<E> EventQueue<E> {
             heap: Vec::new(),
             slots: Vec::new(),
             free_slots: Vec::new(),
+            lane: VecDeque::new(),
             next_seq: 0,
             now: SimTime::ZERO,
         }
@@ -98,16 +126,33 @@ impl<E> EventQueue<E> {
         self.now
     }
 
-    /// Number of live events. Cancellation removes entries physically, so
-    /// this is exactly the heap's size — no stale entries are counted (or
-    /// kept).
+    /// Number of live events, in the heap and the arrival lane together.
+    /// Cancellation removes entries physically, so no stale entries are
+    /// counted (or kept).
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + self.lane.len()
     }
 
     /// True if no live events remain.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.heap.is_empty() && self.lane.is_empty()
+    }
+
+    /// Panic unless `time` is at or after the clock.
+    fn assert_not_past(&self, time: SimTime) {
+        assert!(
+            time >= self.now,
+            "cannot schedule into the past: now={} event={}",
+            self.now,
+            time
+        );
+    }
+
+    /// The next FIFO tie-break number, shared by the heap and the lane.
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
     /// Schedule `payload` at absolute time `time`.
@@ -116,14 +161,8 @@ impl<E> EventQueue<E> {
     /// past is always a simulation bug and silently reordering it would
     /// corrupt causality.
     pub fn schedule(&mut self, time: SimTime, payload: E) -> EventHandle {
-        assert!(
-            time >= self.now,
-            "cannot schedule into the past: now={} event={}",
-            self.now,
-            time
-        );
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        self.assert_not_past(time);
+        let seq = self.take_seq();
         let slot = match self.free_slots.pop() {
             Some(slot) => slot,
             None => {
@@ -143,6 +182,23 @@ impl<E> EventQueue<E> {
         });
         self.sift_up(pos);
         EventHandle { slot, epoch }
+    }
+
+    /// Schedule a handle-less `payload` at `time` on the arrival lane (see
+    /// the module docs). It pops exactly where [`EventQueue::schedule`]
+    /// would have put it; a `time` before the lane's tail goes to the heap
+    /// instead, so any input order is correct, but only non-decreasing
+    /// times keep the heap small.
+    ///
+    /// Panics if `time` is before the current clock, like `schedule`.
+    pub fn schedule_ordered(&mut self, time: SimTime, payload: E) {
+        if self.lane.back().is_some_and(|&(tail, _, _)| time < tail) {
+            self.schedule(time, payload);
+            return;
+        }
+        self.assert_not_past(time);
+        let seq = self.take_seq();
+        self.lane.push_back((time, seq, payload));
     }
 
     /// True while `handle`'s event is still queued (not popped, not
@@ -176,8 +232,7 @@ impl<E> EventQueue<E> {
         let pos = self
             .resolve(handle)
             .expect("reschedule of a dead event (already popped or cancelled)");
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         self.heap[pos].time = time;
         self.heap[pos].seq = seq;
         self.restore_at(pos);
@@ -185,17 +240,12 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest live event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let entry = self.remove_at(0);
-        self.now = entry.time;
-        Some((entry.time, entry.payload))
+        self.pop_at_or_before(SimTime::MAX)
     }
 
     /// Timestamp of the earliest live event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|entry| entry.time)
+        self.next().map(|(time, _)| time)
     }
 
     /// Pop the earliest live event only if its timestamp is at or before
@@ -207,10 +257,28 @@ impl<E> EventQueue<E> {
     /// later event still queued, so it can be resumed with a larger
     /// horizon without ever popping an event out of order.
     pub fn pop_at_or_before(&mut self, horizon: SimTime) -> Option<(SimTime, E)> {
-        if self.peek_time()? <= horizon {
-            self.pop()
+        let (time, from_lane) = self.next()?;
+        if time > horizon {
+            return None;
+        }
+        let payload = if from_lane {
+            self.lane.pop_front()?.2
         } else {
-            None
+            self.remove_at(0).payload
+        };
+        self.now = time;
+        Some((time, payload))
+    }
+
+    /// Timestamp of the earliest event by `(time, seq)`, and whether it is
+    /// the lane head (else the heap root).
+    fn next(&self) -> Option<(SimTime, bool)> {
+        match (self.lane.front(), self.heap.first()) {
+            (Some(&(time, seq, _)), Some(root)) if (root.time, root.seq) < (time, seq) => {
+                Some((root.time, false))
+            }
+            (Some(&(time, _, _)), _) => Some((time, true)),
+            (None, root) => root.map(|root| (root.time, false)),
         }
     }
 
@@ -630,6 +698,73 @@ mod tests {
         assert_eq!(q.len() as u64, live);
         let popped: Vec<u64> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(popped, (0..live).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn lane_and_heap_events_at_one_instant_pop_by_seq() {
+        let t = SimTime::from_millis(5);
+        // Lane first, then heap: the lane event has the smaller seq.
+        let mut q = EventQueue::new();
+        q.schedule_ordered(t, "lane");
+        q.schedule(t, "heap");
+        q.schedule_ordered(t, "lane2");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["lane", "heap", "lane2"]);
+        // Heap first, then lane.
+        let mut q = EventQueue::new();
+        q.schedule(t, "heap");
+        q.schedule_ordered(t, "lane");
+        q.schedule(t, "heap2");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["heap", "lane", "heap2"]);
+    }
+
+    #[test]
+    fn out_of_order_lane_pushes_fall_back_to_the_heap() {
+        let mut q = EventQueue::new();
+        q.schedule_ordered(SimTime::from_millis(20), "b");
+        q.schedule_ordered(SimTime::from_millis(10), "a"); // before the tail
+        q.schedule_ordered(SimTime::from_millis(20), "c"); // ties the tail
+        q.schedule_ordered(SimTime::from_millis(30), "d");
+        assert_eq!(q.lane.len(), 3);
+        assert_eq!(q.heap.len(), 1);
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["a", "b", "c", "d"]);
+    }
+
+    #[test]
+    fn len_peek_and_is_empty_count_the_lane() {
+        let mut q = EventQueue::new();
+        q.schedule_ordered(SimTime::from_millis(3), ());
+        assert_eq!(q.len(), 1);
+        assert!(!q.is_empty());
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
+        let h = q.schedule(SimTime::from_millis(7), ());
+        q.schedule_ordered(SimTime::from_millis(9), ());
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(3)));
+        q.cancel(h);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(3), ())));
+        assert_eq!(q.peek_time(), Some(SimTime::from_millis(9)));
+        assert_eq!(q.pop_at_or_before(SimTime::from_millis(8)), None);
+        assert_eq!(q.len(), 1);
+        assert_eq!(
+            q.pop_at_or_before(SimTime::from_millis(9)),
+            Some((SimTime::from_millis(9), ()))
+        );
+        assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot schedule into the past")]
+    fn schedule_ordered_into_the_past_panics() {
+        let mut q = EventQueue::new();
+        q.schedule_ordered(SimTime::from_secs(5), ());
+        q.pop();
+        q.schedule_ordered(SimTime::from_secs(1), ());
     }
 
     #[test]
