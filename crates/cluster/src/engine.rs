@@ -123,7 +123,7 @@ pub fn run_cluster_streamed_coupled(
     scenario_seed: u64,
     sim_seed: u64,
 ) -> NodeResult {
-    NodeResult::merge(run_cluster_streamed_coupled_per_node(
+    NodeResult::merge(spec_nodes(
         catalogue,
         spec,
         mode,
@@ -134,11 +134,8 @@ pub fn run_cluster_streamed_coupled(
     ))
 }
 
-/// [`run_cluster_streamed_coupled`] with each node's [`NodeResult`]
-/// returned separately (index = node id) instead of merged: cross-node
-/// dominant-share fairness needs the per-node served work, which a merged
-/// result erases.
-pub fn run_cluster_streamed_coupled_per_node(
+/// [`run_cluster_streamed_coupled`] before the merge: one result per node.
+fn spec_nodes(
     catalogue: &Catalogue,
     spec: &WorkloadSpec,
     mode: &NodeMode,
@@ -177,6 +174,21 @@ pub fn run_cluster_trace_streamed(
     sim_seed: u64,
     chunk: usize,
 ) -> NodeResult {
+    NodeResult::merge(trace_nodes(
+        catalogue, trace, mode, cfg, faults, sim_seed, chunk,
+    ))
+}
+
+/// [`run_cluster_trace_streamed`] before the merge: one result per node.
+fn trace_nodes(
+    catalogue: &Catalogue,
+    trace: &dyn TraceSource,
+    mode: &NodeMode,
+    cfg: &ClusterConfig,
+    faults: &FaultSpec,
+    sim_seed: u64,
+    chunk: usize,
+) -> Vec<NodeResult> {
     assert!(chunk > 0, "ingestion window must hold at least one call");
     let weights = WeightTable::uniform(catalogue.len());
     let nodes = Nodes {
@@ -188,7 +200,7 @@ pub fn run_cluster_trace_streamed(
         sim_seed,
     };
     let mut arrivals = pages(trace, (chunk as u64).saturating_mul(cfg.nodes as u64));
-    NodeResult::merge(nodes.run(&mut arrivals, &[], Some(chunk)))
+    nodes.run(&mut arrivals, &[], Some(chunk))
 }
 
 /// `trace` in index (= release) order, synthesized one page of up to
@@ -212,10 +224,13 @@ fn pages(trace: &dyn TraceSource, page: u64) -> impl Iterator<Item = Call> + '_ 
 }
 
 /// Run any [`WorkloadSource`] — analytic spec or trace — under any
-/// [`ClusterConfig`]. Trace sources are opened first (synthetic traces
-/// start at [`SimTime::ZERO`] and draw from `scenario_seed`); `chunk`
-/// bounds their ingestion and is unused by spec sources. The only
-/// fallible path is opening a recorded trace file.
+/// [`ClusterConfig`], returning each node's [`NodeResult`] separately
+/// (index = node id): cross-node measures such as dominant-share fairness
+/// need the per-node served work, which [`NodeResult::merge`] erases.
+/// Trace sources are opened first (synthetic traces start at
+/// [`SimTime::ZERO`] and draw from `scenario_seed`); `chunk` bounds their
+/// ingestion and is unused by spec sources. The only fallible path is
+/// opening a recorded trace file.
 #[allow(clippy::too_many_arguments)]
 pub fn run_cluster_source(
     catalogue: &Catalogue,
@@ -226,21 +241,22 @@ pub fn run_cluster_source(
     scenario_seed: u64,
     sim_seed: u64,
     chunk: usize,
-) -> std::io::Result<NodeResult> {
+) -> std::io::Result<Vec<NodeResult>> {
     Ok(match source {
-        WorkloadSource::Spec(spec) => run_cluster_streamed_coupled(
-            catalogue,
-            spec,
-            mode,
-            cfg,
-            faults,
-            scenario_seed,
-            sim_seed,
-        ),
+        WorkloadSource::Spec(spec) => {
+            spec_nodes(catalogue, spec, mode, cfg, faults, scenario_seed, sim_seed)
+        }
         WorkloadSource::Trace(tspec) => {
             let trace = tspec.open(catalogue, SimTime::ZERO, scenario_seed)?;
-            let trace = trace.as_ref();
-            run_cluster_trace_streamed(catalogue, trace, mode, cfg, faults, sim_seed, chunk)
+            trace_nodes(
+                catalogue,
+                trace.as_ref(),
+                mode,
+                cfg,
+                faults,
+                sim_seed,
+                chunk,
+            )
         }
     })
 }
@@ -904,9 +920,9 @@ mod tests {
 
     #[test]
     fn per_node_results_sum_to_the_merged_entry_point() {
-        // The per-node variant is the same engine: node count of results,
-        // and outcome counts / served work that merge to exactly what the
-        // merged entry point reports, dominant routing included.
+        // The per-node source entry point is the same engine: node count of
+        // results, and outcome counts / served work that merge to exactly
+        // what the merged entry point reports, dominant routing included.
         let cat = catalogue();
         let mut spec = streamed_spec(132);
         spec.weights = WeightSpec::paper_tiers_mem();
@@ -917,15 +933,17 @@ mod tests {
         )
         .coupled(SimDuration::from_millis(250), false);
         let mode = NodeMode::Baseline;
-        let per_node = run_cluster_streamed_coupled_per_node(
+        let per_node = run_cluster_source(
             &cat,
-            &spec,
+            &WorkloadSource::Spec(spec.clone()),
             &mode,
             &cfg,
             &FaultSpec::none(),
             5,
             6,
-        );
+            64,
+        )
+        .expect("spec source");
         assert_eq!(per_node.len(), 3, "one result per node");
         let merged =
             run_cluster_streamed_coupled(&cat, &spec, &mode, &cfg, &FaultSpec::none(), 5, 6);
@@ -1283,6 +1301,7 @@ mod tests {
             2,
             64,
         )
+        .map(NodeResult::merge)
         .expect("spec source");
         let direct =
             run_cluster_streamed_coupled(&cat, &spec, &mode, &cfg, &FaultSpec::none(), 1, 2);
@@ -1301,6 +1320,7 @@ mod tests {
             2,
             64,
         )
+        .map(NodeResult::merge)
         .expect("synthetic source");
         assert_eq!(
             via_trace
@@ -1325,6 +1345,7 @@ mod tests {
             2,
             64,
         )
+        .map(NodeResult::merge)
         .expect("coupled source");
         assert!(via_coupled.peak_resident_calls <= 64 * 2);
         assert_eq!(

@@ -17,20 +17,22 @@
 //!
 //! Three sources feed the engine, each through a thin entry point:
 //! [`run_cluster`] replays a materialized [`ClusterScenario`] (the paper's
-//! fixed shared burst), [`run_cluster_streamed_coupled`] (and its
-//! per-node variant) generates a [`faas_workload::WorkloadSpec`] with the
-//! sharded generator, and [`run_cluster_trace_streamed`] pages a
-//! [`faas_workload::TraceSource`] with bounded memory, so a 10^8-call
-//! day streams through the cluster without being materialized.
-//! [`run_cluster_source`] takes either a spec or a trace.
+//! fixed shared burst), [`run_cluster_streamed_coupled`] generates a
+//! [`faas_workload::WorkloadSpec`] with the sharded generator, and
+//! [`run_cluster_trace_streamed`] pages a [`faas_workload::TraceSource`]
+//! with bounded memory, so a 10^8-call day streams through the cluster
+//! without being materialized. These three merge their nodes' results.
+//! [`run_cluster_source`] takes either a spec or a trace and returns one
+//! [`faas_invoker::NodeResult`] per node, unmerged, for callers that need
+//! per-node served work (the sweep's dominant-share fairness); the others
+//! merge with [`faas_invoker::NodeResult::merge`].
 
 pub mod engine;
 pub mod lb;
 pub mod sim;
 
 pub use engine::{
-    run_cluster, run_cluster_source, run_cluster_streamed_coupled,
-    run_cluster_streamed_coupled_per_node, run_cluster_trace_streamed,
+    run_cluster, run_cluster_source, run_cluster_streamed_coupled, run_cluster_trace_streamed,
 };
 pub use lb::{FeedbackRouter, LoadBalancer, NodeView, Router};
 pub use sim::{ClusterConfig, ClusterScenario};

@@ -24,17 +24,16 @@
 //!            appendix 37-38)
 //!   ablations  Hyper-parameter sweeps beyond the paper
 //!   functions  Per-function fairness breakdown (SSII's view)
-//!   sweep      Workload sweep: arrival process x function mix x container
-//!              weights x strategy (uniform/Poisson/MMPP/diurnal x
-//!              equal/fairness/Zipf x uniform/tiered/Zipf-correlated),
-//!              with per-combination sim-health columns, plus a
-//!              cluster-size sweep through the streamed multi-node engine,
-//!              a fault-scenario robustness sweep (goodput, drop
-//!              rate, retries, p99 under degradation), a coupled-engine
-//!              robustness table (static vs feedback load balancing with
-//!              cross-node failover under the strict crash preset) and a
-//!              trace-replay table (Azure-style synthetic traces through
-//!              the bounded-memory streamed trace engine)
+//!   sweep      Workload sweep, one table per axis at the same mean load:
+//!              arrival x function mix x container weights x strategy
+//!              (uniform/Poisson/MMPP/diurnal x equal/fairness/Zipf x
+//!              uniform/tiered/Zipf-correlated) with sim-health columns,
+//!              cluster size, fault scenarios (goodput, drops, retries,
+//!              p99), coupled-engine routing (static vs feedback with
+//!              cross-node failover under the strict crash preset),
+//!              synthetic trace replay (bounded-memory ingestion) and
+//!              multi-resource DRF (memory-bandwidth utilization and
+//!              dominant-share fairness)
 //!   bench      GPS-kernel (uniform, weighted and multi-resource DRF),
 //!              event-queue, workload-generation, dynamic-capacity,
 //!              coupled-engine and trace-replay micro-benchmarks; writes
@@ -91,8 +90,8 @@ fn usage() -> ! {
          [--quick] [--seeds N] [--out DIR] [--per-seed] \
          [--source synth:RATE|trace:PATH]\n\
          (--source runs table1/fig5/fig6 trace-backed: an Azure-style \
-         synthetic trace at RATE calls/s, or a recorded JSONL trace)\n\
-         (replay: [--calls N] [--out DIR])\n\
+         synthetic trace at RATE > 0 calls/s, or a recorded JSONL trace)\n\
+         (replay: [--calls N] [--out DIR], N >= 1)\n\
          (check-bench: [--out DIR] [--baseline HISTORY] [--gate-window K] \
          [--gate-timing-pct P] [--gate-throughput-pct P])\n\
          (history-append: [--out DIR] [--history PATH] [--commit ID] [--message MSG] \
@@ -191,11 +190,14 @@ fn main() {
 }
 
 /// Parse `--source synth:RATE` (an Azure-style synthetic trace at a
-/// mean of RATE calls/sec over the paper's 60 s window) or
-/// `--source trace:PATH` (a recorded JSONL trace).
+/// mean of RATE calls/sec over the paper's 60 s window; RATE must be
+/// positive and finite) or `--source trace:PATH` (a recorded JSONL trace).
 fn parse_source(spec: &str) -> WorkloadSource {
     if let Some(rate) = spec.strip_prefix("synth:") {
         let rate: f64 = rate.parse().unwrap_or_else(|_| usage());
+        if !(rate > 0.0 && rate.is_finite()) {
+            usage();
+        }
         WorkloadSource::Trace(TraceSpec::Synthetic(SynthSpec::azure(
             rate,
             SimDuration::from_secs(60),
@@ -284,9 +286,9 @@ fn run_bench(opts: &Opts) {
 }
 
 /// Replay benchmark at an explicit call count: `experiments replay
-/// [--calls N] [--out DIR]`. Writes the same `BENCH_replay.json` shape as
-/// `experiments bench` (which runs the full 10^6/10^7 trajectory); the CI
-/// smoke run uses a reduced count.
+/// [--calls N] [--out DIR]`, N ≥ 1. Writes the same `BENCH_replay.json`
+/// shape as `experiments bench` (which runs the full 10^6/10^7
+/// trajectory); the CI smoke run uses a reduced count.
 fn run_replay(args: Vec<String>) {
     let mut calls: u64 = 1_000_000;
     let mut out = PathBuf::from("results");
@@ -297,7 +299,13 @@ fn run_replay(args: Vec<String>) {
             args.get(*i).cloned().unwrap_or_else(|| usage())
         };
         match args[i].as_str() {
-            "--calls" => calls = value(&mut i).parse().unwrap_or_else(|_| usage()),
+            "--calls" => {
+                calls = value(&mut i)
+                    .parse()
+                    .ok()
+                    .filter(|&n| n > 0)
+                    .unwrap_or_else(|| usage())
+            }
             "--out" => out = PathBuf::from(value(&mut i)),
             _ => usage(),
         }

@@ -14,7 +14,7 @@
 use crate::grid::{mode_for, STRATEGIES};
 use crate::Effort;
 use faas_cluster::{run_cluster_source, ClusterConfig, LoadBalancer};
-use faas_invoker::{simulate_scenario, NodeConfig};
+use faas_invoker::{simulate_scenario, NodeConfig, NodeResult};
 use faas_metrics::compare::Strategy;
 use faas_metrics::summary::{stretches, MetricSummary};
 use faas_metrics::table::{fmt_secs, TextTable};
@@ -132,7 +132,7 @@ pub fn run_source(source: &WorkloadSource, effort: Effort) -> std::io::Result<Fi
                 NodeConfig::paper(scenario_cfg.cores),
                 LoadBalancer::RoundRobin,
             );
-            let result = run_cluster_source(
+            let result = NodeResult::merge(run_cluster_source(
                 &catalogue,
                 source,
                 &mode_for(strategy),
@@ -141,7 +141,7 @@ pub fn run_source(source: &WorkloadSource, effort: Effort) -> std::io::Result<Fi
                 seed,
                 seed ^ 0xC1u64,
                 SOURCE_CHUNK,
-            )?;
+            )?);
             let outcomes: Vec<&CallOutcome> = result.measured().collect();
             all.extend(stretches(&outcomes, &catalogue));
             let dna_outs: Vec<&CallOutcome> =

@@ -9,7 +9,7 @@
 use crate::Effort;
 use faas_cluster::{run_cluster, run_cluster_source, ClusterConfig, ClusterScenario, LoadBalancer};
 use faas_core::{Policy, SchedulerConfig};
-use faas_invoker::{NodeConfig, NodeMode};
+use faas_invoker::{NodeConfig, NodeMode, NodeResult};
 use faas_metrics::compare::{self, Strategy};
 use faas_metrics::summary::MetricSummary;
 use faas_metrics::table::{fmt_secs, TextTable};
@@ -186,7 +186,7 @@ pub fn run_source(
             let mut peak_queue = 0usize;
             let mut peak_events = 0usize;
             for &seed in seeds {
-                let result = run_cluster_source(
+                let result = NodeResult::merge(run_cluster_source(
                     &catalogue,
                     source,
                     &mode,
@@ -195,7 +195,7 @@ pub fn run_source(
                     seed,
                     seed ^ 0xC1u64,
                     SOURCE_CHUNK,
-                )?;
+                )?);
                 let resp: Vec<f64> = result
                     .measured()
                     .map(|o| o.response_time().as_secs_f64())

@@ -1,47 +1,48 @@
-//! `experiments sweep`: cross arrival process × function mix × container
-//! weights × scheduling policy — the scenario-diversity experiment the
-//! workload subsystem unlocks — plus a cluster-size sweep through the
-//! streamed multi-node engine.
+//! `experiments sweep`: the paper's comparison — FC/SEPT on dedicated cores
+//! against OS-level GPS sharing — under every load shape the workspace
+//! can produce. Each table replays the same mean load (`1.1 · cores ·
+//! intensity` calls over 60 s) along one axis:
 //!
-//! The paper evaluates its policies under exactly one load shape (uniform
-//! burst, equal split, uniform containers). The sweep replays the *same*
-//! mean load through every combination of the subsystem's axes — uniform /
-//! Poisson / MMPP / diurnal arrivals against equal / fairness / Zipf
-//! popularity against uniform / tiered / Zipf-correlated container weights
-//! — under each strategy, and reports response-time and stretch statistics
-//! next to a per-combination sim-health view (calls generated, peak
-//! pending queue, peak live event-heap size).
+//! * `workload`: arrival × function mix × container weights, one node;
+//! * `cluster`: worker count × container weights (the §VIII design);
+//! * `fault`: one node under each seeded fault preset;
+//! * `coupled`: static against feedback routing with cross-node failover
+//!   under the strict crash preset;
+//! * `trace`: Azure-style synthetic traces through bounded ingestion;
+//! * `resource`: a single-resource control against DRF-modeled memory
+//!   bandwidth, with utilization and dominant-share fairness.
 //!
-//! The second table fixes the paper's §VIII total load and sweeps the
-//! worker count through [`faas_cluster::run_cluster_streamed_coupled`]
-//! (independent round-robin workers, one window), crossed with the
-//! weighted-container axis.
+//! # One grid, one row type
 //!
-//! The trace table replays Azure-style synthetic traces — Zipf mean
-//! rates, diurnal phase, MMPP bursts, correlated chains — through the
-//! cluster engine's bounded-memory trace ingestion
-//! ([`faas_cluster::run_cluster_trace_streamed`]), putting a
-//! recorded-workload-shaped scenario column next to the parametric axes
-//! and reporting the ingestion working set per combination.
+//! A table is data: a `Table` holds its title, its columns (`Col`: a
+//! header and a formatter), its strategies and a function
+//! `points(ctx, seed)` listing its `Point`s. A point is a label, a
+//! `Source`, a [`ClusterConfig`] and a [`FaultSpec`]. `Source::Node` is
+//! the single-node burst (warm-up plus generated calls) run by
+//! [`faas_invoker::simulate_calls_faulted`]; `Source::Cluster` runs any
+//! [`WorkloadSource`] through [`run_cluster_source`]. Fault plans and LB
+//! tie-breaks are drawn from the run seed, so pooling over seeds samples
+//! them too; labels and their order do not depend on the seed.
 //!
-//! The multi-resource table is the DRF-vs-single-resource comparison the
-//! PR 10 refactor exists for: the fixed total load under the
-//! memory-correlated tier model, routed by backlog- and dominant-share-
-//! keyed policies through the per-node coupled entry point, reporting
-//! per-resource utilization and the cross-node dominant-share Jain index
-//! next to a single-resource (memory-unmodeled) control.
+//! [`run`] crosses each table's points with its strategies. Every (point,
+//! strategy) cell runs once per seed through one runner and is pooled, in
+//! seed order, by one reducer into one [`Row`] carrying every statistic.
+//! Cells run in parallel and land in a fixed order, so the output does
+//! not depend on the thread count. [`render`] prints each table's columns
+//! of its rows.
+//!
+//! To add a table, write its `points` function (reusing the axis
+//! functions where they fit), pick its columns and append a `Table` to
+//! `TABLES`.
 
 use crate::grid::mode_for;
 use crate::Effort;
-use faas_cluster::{
-    run_cluster_streamed_coupled, run_cluster_streamed_coupled_per_node,
-    run_cluster_trace_streamed, ClusterConfig, LoadBalancer,
-};
-use faas_invoker::{simulate_calls_faulted, simulate_calls_weighted, NodeConfig};
+use faas_cluster::{run_cluster_source, ClusterConfig, LoadBalancer};
+use faas_invoker::{simulate_calls_faulted, NodeConfig, NodeResult};
 use faas_metrics::compare::Strategy;
 use faas_metrics::summary::{
-    response_times_into, stretches_into, FaultCounts, MetricSummary, ResourceSummary,
-    ResourceUsage, RobustnessSummary,
+    response_times, stretches, FaultCounts, MetricSummary, ResourceSummary, ResourceUsage,
+    RobustnessSummary,
 };
 use faas_metrics::table::{fmt_secs, TextTable};
 use faas_simcore::rng::Xoshiro256;
@@ -52,139 +53,49 @@ use faas_workload::generate::WorkloadSpec;
 use faas_workload::mix::MixSpec;
 use faas_workload::scenario::{warmup_for_spec, warmup_waves};
 use faas_workload::sebs::Catalogue;
-use faas_workload::synth::{SynthSpec, SyntheticTrace};
+use faas_workload::synth::SynthSpec;
 use faas_workload::trace::CallOutcome;
-use faas_workload::weight::{WeightSpec, WeightTable};
+use faas_workload::trace_source::{TraceSpec, WorkloadSource};
+use faas_workload::weight::WeightSpec;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
+use Col::*;
 
-/// Stream tag for sweep release times.
+/// Stream tag for single-node release times.
 const STREAM_TIMES: u64 = 0x5EE1;
-/// Stream tag for sweep function assignment.
+/// Stream tag for single-node function assignment.
 const STREAM_ASSIGN: u64 = 0x5EE2;
 
-/// One (arrival, mix, weights, strategy) combination, pooled over seeds.
+/// One (table, point, strategy) cell, pooled over seeds. Every row fills
+/// every statistic, printed or not.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SweepRow {
-    /// Arrival-process label.
-    pub arrival: String,
-    /// Function-mix label.
-    pub mix: String,
-    /// Container-weight-model label.
-    pub weights: String,
+pub struct Row {
+    /// Table name (`workload`, `cluster`, `fault`, …).
+    pub table: String,
+    /// Point label, unique within the table.
+    pub label: String,
     /// Scheduling strategy.
     pub strategy: Strategy,
-    /// Measured calls pooled over all seeds.
+    /// Delivered measured calls, pooled over seeds.
     pub calls: usize,
-    /// Response-time statistics, seconds.
+    /// Response-time statistics of the delivered calls, seconds.
     pub response: MetricSummary,
-    /// Stretch statistics.
+    /// Stretch statistics of the delivered calls.
     pub stretch: MetricSummary,
     /// Measured-phase cold starts, summed over seeds.
     pub cold_starts: usize,
-    /// Sim health: largest pending-queue length over the seeds.
+    /// Sim health: largest pending-queue length of any node and seed.
     pub peak_queue: usize,
-    /// Sim health: largest live event-heap size over the seeds.
+    /// Sim health: largest live event-queue size of any node and seed.
     pub peak_events: usize,
-}
-
-/// One (nodes, weights, strategy) cluster combination at the fixed §VIII
-/// total load, pooled over seeds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ClusterSweepRow {
-    /// Worker count.
-    pub nodes: u16,
-    /// Container-weight-model label.
-    pub weights: String,
-    /// Scheduling strategy.
-    pub strategy: Strategy,
-    /// Measured calls pooled over all seeds.
-    pub calls: usize,
-    /// Response-time statistics, seconds.
-    pub response: MetricSummary,
-    /// Measured-phase cold starts, summed over seeds.
-    pub cold_starts: usize,
-    /// Sim health: largest live event-heap size over the seeds.
-    pub peak_events: usize,
-}
-
-/// One (fault scenario, strategy) robustness combination, pooled over
-/// seeds: the paper's uniform/equal burst replayed under a seeded fault
-/// plan.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FaultSweepRow {
-    /// Fault-scenario label.
-    pub scenario: String,
-    /// Scheduling strategy.
-    pub strategy: Strategy,
-    /// Goodput, drop rate, fault counters and the delivered p99.
-    pub robustness: RobustnessSummary,
-    /// Delivered response-time statistics (goodput latency), seconds.
-    pub response: MetricSummary,
-}
-
-/// One (load balancer, strategy) row of the coupled robustness table: the
-/// §VIII cluster under the strict crash preset, routed by a static or
-/// feedback policy through the coupled engine.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CoupledSweepRow {
-    /// Load-balancer label (`static-rr` is the no-feedback control).
-    pub lb: String,
-    /// Whether cross-node failover was enabled.
-    pub failover: bool,
-    /// Scheduling strategy.
-    pub strategy: Strategy,
-    /// Goodput, drop rate, fault counters (including failovers) and the
-    /// delivered p99.
-    pub robustness: RobustnessSummary,
-    /// Delivered response-time statistics, seconds.
-    pub response: MetricSummary,
-}
-
-/// One (resource configuration, strategy) row of the multi-resource
-/// table: the §VIII fixed total load under the memory-correlated tier
-/// model, routed by a backlog- or dominant-share-keyed policy, with the
-/// per-resource utilization and cross-node dominant-share fairness the
-/// DRF refactor makes observable. The `cpu-only` row is the
-/// single-resource control (memory axis unmodeled — its utilization must
-/// read zero).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ResourceSweepRow {
-    /// Configuration label (`cpu-only/jsq`, `mem/jsq`, `mem/jsd`).
-    pub config: String,
-    /// Scheduling strategy.
-    pub strategy: Strategy,
-    /// Measured calls pooled over all seeds.
-    pub calls: usize,
-    /// Response-time statistics, seconds.
-    pub response: MetricSummary,
-    /// Per-resource utilization and dominant-share fairness, pooled over
-    /// seeds (served work and horizons summed before dividing).
-    pub resource: ResourceSummary,
-}
-
-/// One (trace, strategy) row of the trace-replay table: a synthetic
-/// Azure-style trace streamed through the bounded-memory trace engine,
-/// pooled over seeds (each seed draws its own trace realization).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct TraceSweepRow {
-    /// Trace label (from [`SynthSpec::label`]).
-    pub trace: String,
-    /// Scheduling strategy.
-    pub strategy: Strategy,
-    /// Measured calls pooled over all seeds.
-    pub calls: usize,
-    /// Response-time statistics, seconds.
-    pub response: MetricSummary,
-    /// Cold starts, summed over seeds (traces run without warm-up, so
-    /// every call is measured).
-    pub cold_starts: usize,
-    /// Sim health: largest ingestion working set (resident calls summed
-    /// over nodes) of any seed — bounded by chunk × nodes regardless of
-    /// trace length.
+    /// Sim health: largest ingestion working set of any seed, summed over
+    /// nodes (≤ chunk × nodes for traces, zero for spec sources).
     pub peak_resident: u64,
-    /// Sim health: largest live event-heap size over the seeds.
-    pub peak_events: usize,
+    /// Goodput, measured drops, fault counters and the delivered p99.
+    pub robustness: RobustnessSummary,
+    /// Per-resource utilization and cross-node dominant-share fairness,
+    /// from served work and horizons summed over seeds.
+    pub resource: ResourceSummary,
 }
 
 /// The sweep result set.
@@ -195,78 +106,240 @@ pub struct SweepResult {
     /// Intensity-equivalent load (the mean call count matches the paper's
     /// `1.1 · cores · intensity` burst).
     pub intensity: u32,
-    /// All single-node rows, ordered by (arrival, mix, weights, strategy).
-    pub rows: Vec<SweepRow>,
-    /// Cluster-size rows (streamed generation, fixed total load).
-    pub cluster_rows: Vec<ClusterSweepRow>,
-    /// Fault-scenario rows (robustness axis), ordered by
-    /// (scenario, strategy).
-    pub fault_rows: Vec<FaultSweepRow>,
-    /// Coupled-engine robustness rows (LB-policy axis under the strict
-    /// crash preset), ordered by (lb, strategy).
-    pub coupled_rows: Vec<CoupledSweepRow>,
-    /// Trace-replay rows (synthetic Azure-style traces through the
-    /// streamed trace engine), ordered by (trace, strategy).
-    pub trace_rows: Vec<TraceSweepRow>,
-    /// Multi-resource rows (DRF vs single-resource control under the
-    /// memory-correlated tiers), ordered by (config, strategy).
-    pub resource_rows: Vec<ResourceSweepRow>,
+    /// Every row: tables in print order, then points, then strategies.
+    pub rows: Vec<Row>,
 }
 
 impl SweepResult {
-    /// Look up one single-node row.
-    pub fn row(
-        &self,
-        arrival: &str,
-        mix: &str,
-        weights: &str,
-        strategy: Strategy,
-    ) -> Option<&SweepRow> {
-        self.rows.iter().find(|r| {
-            r.arrival == arrival && r.mix == mix && r.weights == weights && r.strategy == strategy
-        })
-    }
-
-    /// Look up one cluster row.
-    pub fn cluster_row(
-        &self,
-        nodes: u16,
-        weights: &str,
-        strategy: Strategy,
-    ) -> Option<&ClusterSweepRow> {
-        self.cluster_rows
+    /// Look up one row.
+    pub fn row(&self, table: &str, label: &str, strategy: Strategy) -> Option<&Row> {
+        self.rows
             .iter()
-            .find(|r| r.nodes == nodes && r.weights == weights && r.strategy == strategy)
-    }
-
-    /// Look up one fault-scenario row.
-    pub fn fault_row(&self, scenario: &str, strategy: Strategy) -> Option<&FaultSweepRow> {
-        self.fault_rows
-            .iter()
-            .find(|r| r.scenario == scenario && r.strategy == strategy)
-    }
-
-    /// Look up one coupled-engine robustness row.
-    pub fn coupled_row(&self, lb: &str, strategy: Strategy) -> Option<&CoupledSweepRow> {
-        self.coupled_rows
-            .iter()
-            .find(|r| r.lb == lb && r.strategy == strategy)
-    }
-
-    /// Look up one trace-replay row.
-    pub fn trace_row(&self, trace: &str, strategy: Strategy) -> Option<&TraceSweepRow> {
-        self.trace_rows
-            .iter()
-            .find(|r| r.trace == trace && r.strategy == strategy)
-    }
-
-    /// Look up one multi-resource row.
-    pub fn resource_row(&self, config: &str, strategy: Strategy) -> Option<&ResourceSweepRow> {
-        self.resource_rows
-            .iter()
-            .find(|r| r.config == config && r.strategy == strategy)
+            .find(|r| r.table == table && r.label == label && r.strategy == strategy)
     }
 }
+
+/// Where a point's calls come from.
+#[derive(Debug, Clone)]
+enum Source {
+    /// The single-node burst: §V-A warm-up plus the spec's calls, drawn
+    /// from the run seed and simulated on the point's node.
+    Node(WorkloadSpec),
+    /// Any workload through the cluster engine: specs draw from the run
+    /// seed, synthetic traces from `seed ^ 0x7AC3`, and the nodes from
+    /// `seed ^ 0xC1`.
+    Cluster(WorkloadSource),
+}
+
+/// One configuration of a table, run once per strategy and seed.
+#[derive(Debug, Clone)]
+struct Point {
+    /// Row label.
+    label: String,
+    /// The calls.
+    source: Source,
+    /// The cluster (one node for [`Source::Node`] points).
+    cluster: ClusterConfig,
+    /// The fault plan.
+    faults: FaultSpec,
+}
+
+/// What every table's points are built from. Both modes keep the paper's
+/// 10-core node at an intensity where scheduling matters; the full sweep
+/// runs the stressed regime.
+struct Ctx {
+    /// The function catalogue.
+    catalogue: Catalogue,
+    /// Cores per node.
+    cores: u32,
+    /// Intensity-equivalent load.
+    intensity: u32,
+    /// Calls of the fixed total load.
+    count: usize,
+    /// Length of the measured window.
+    window: SimDuration,
+    /// Start of the measured burst of spec runs.
+    burst_start: SimTime,
+    /// Reduced axes.
+    quick: bool,
+}
+
+impl Ctx {
+    fn new(quick: bool) -> Ctx {
+        let catalogue = Catalogue::sebs();
+        let (cores, intensity) = if quick { (10, 60) } else { (10, 90) };
+        Ctx {
+            count: catalogue.len() * cores as usize * intensity as usize / 10,
+            burst_start: warmup_waves(&catalogue).1,
+            catalogue,
+            cores,
+            intensity,
+            window: SimDuration::from_secs(60),
+            quick,
+        }
+    }
+
+    /// The fixed total load as a uniform burst, equal mix.
+    fn uniform(&self, weights: WeightSpec) -> WorkloadSpec {
+        WorkloadSpec {
+            arrival: ArrivalSpec::Uniform { count: self.count },
+            mix: MixSpec::Equal,
+            weights,
+            window: self.window,
+        }
+    }
+
+    /// `nodes` paper workers behind `lb`, uncoupled.
+    fn cluster(&self, nodes: u16, lb: LoadBalancer) -> ClusterConfig {
+        ClusterConfig::independent(nodes, NodeConfig::paper(self.cores), lb)
+    }
+}
+
+/// A printed column; [`Col::spec`] gives its header and formatter.
+#[derive(Debug, Clone, Copy)]
+enum Col {
+    Calls,
+    RAvg,
+    RP50,
+    RP95,
+    SAvg,
+    Cold,
+    PeakQ,
+    PeakEv,
+    PeakRes,
+    Served,
+    Drops,
+    Goodput,
+    Retries,
+    Timeouts,
+    Crashes,
+    Failovers,
+    RP99,
+    CpuUtil,
+    MemUtil,
+    DomMin,
+    DomMax,
+    Jain,
+}
+
+impl Col {
+    /// Header and cell formatter.
+    fn spec(self) -> (&'static str, fn(&Row) -> String) {
+        match self {
+            Col::Calls => ("calls", |r| r.calls.to_string()),
+            Col::RAvg => ("R avg", |r| fmt_secs(r.response.mean)),
+            Col::RP50 => ("R p50", |r| fmt_secs(r.response.p50)),
+            Col::RP95 => ("R p95", |r| fmt_secs(r.response.p95)),
+            Col::SAvg => ("S avg", |r| fmt_secs(r.stretch.mean)),
+            Col::Cold => ("cold", |r| r.cold_starts.to_string()),
+            Col::PeakQ => ("peakQ", |r| r.peak_queue.to_string()),
+            Col::PeakEv => ("peakEv", |r| r.peak_events.to_string()),
+            Col::PeakRes => ("peakRes", |r| r.peak_resident.to_string()),
+            Col::Served => ("served", |r| r.robustness.delivered.to_string()),
+            Col::Drops => ("drop", |r| r.robustness.dropped.to_string()),
+            Col::Goodput => ("goodput", |r| format!("{:.4}", r.robustness.goodput)),
+            Col::Retries => ("retries", |r| r.robustness.counts.retries.to_string()),
+            Col::Timeouts => ("t/o", |r| r.robustness.counts.timeouts.to_string()),
+            Col::Crashes => ("crash", |r| r.robustness.counts.crashes.to_string()),
+            Col::Failovers => ("failover", |r| r.robustness.counts.failovers.to_string()),
+            Col::RP99 => ("R p99", |r| fmt_secs(r.robustness.p99_response)),
+            Col::CpuUtil => ("cpuUtil", |r| format!("{:.3}", r.resource.cpu_utilization)),
+            Col::MemUtil => ("memUtil", |r| format!("{:.3}", r.resource.mem_utilization)),
+            Col::DomMin => ("domMin", |r| format!("{:.3}", r.resource.dominant_min)),
+            Col::DomMax => ("domMax", |r| format!("{:.3}", r.resource.dominant_max)),
+            Col::Jain => ("jain", |r| format!("{:.4}", r.resource.dominant_jain)),
+        }
+    }
+}
+
+/// One table of the sweep: what it prints and the grid it runs.
+struct Table {
+    /// Key of its rows ([`Row::table`]).
+    name: &'static str,
+    /// Heading printed above it.
+    title: fn(&SweepResult) -> String,
+    /// Header of the first column, `<point label>/<strategy>`.
+    key: &'static str,
+    /// The columns after the first.
+    cols: &'static [Col],
+    /// Strategies crossed with every point, given the quick flag.
+    strategies: fn(bool) -> Vec<Strategy>,
+    /// The points for one run seed.
+    points: fn(&Ctx, u64) -> Vec<Point>,
+}
+
+/// The sweep, in print order.
+const TABLES: [Table; 6] = [
+    Table {
+        name: "workload",
+        title: |r| {
+            format!(
+                "Workload sweep: arrival x mix x weights x strategy at {} cores, \
+                 intensity-equivalent {}",
+                r.cores, r.intensity
+            )
+        },
+        key: "arrival/mix/weights/strategy",
+        cols: &[Calls, RAvg, RP50, RP95, SAvg, Cold, PeakQ, PeakEv],
+        strategies: strategy_axis,
+        points: workload_points,
+    },
+    Table {
+        name: "cluster",
+        title: |_| "Cluster-size sweep (streamed generation, fixed total load)".into(),
+        key: "nodes/weights/strategy",
+        cols: &[Calls, RAvg, RP50, RP95, Cold, PeakEv],
+        strategies: headline,
+        points: cluster_points,
+    },
+    Table {
+        name: "fault",
+        title: |_| "Fault-scenario sweep (robustness axis)".into(),
+        key: "scenario/strategy",
+        cols: &[Served, Drops, Goodput, Retries, Timeouts, Crashes, RP99],
+        strategies: headline,
+        points: fault_points,
+    },
+    Table {
+        name: "coupled",
+        title: |_| {
+            format!(
+                "Coupled-engine robustness ({COUPLED_NODES} nodes, strict crash preset, \
+                 lookahead {} ms)",
+                COUPLED_LOOKAHEAD.as_millis_f64()
+            )
+        },
+        key: "lb/strategy",
+        cols: &[Served, Drops, Goodput, Retries, Timeouts, Failovers, RP99],
+        strategies: headline,
+        points: coupled_points,
+    },
+    Table {
+        name: "trace",
+        title: |_| {
+            format!(
+                "Trace-replay sweep ({TRACE_NODES} nodes, streamed ingestion, chunk {TRACE_CHUNK})"
+            )
+        },
+        key: "trace/strategy",
+        cols: &[Calls, RAvg, RP50, RP95, Cold, PeakRes, PeakEv],
+        strategies: headline,
+        points: trace_points,
+    },
+    Table {
+        name: "resource",
+        title: |_| {
+            format!(
+                "Multi-resource sweep ({RESOURCE_NODES} nodes, mem bandwidth {RESOURCE_MEM_BW} \
+                 units, memory-correlated tiers)"
+            )
+        },
+        key: "config/strategy",
+        cols: &[Calls, RAvg, RP95, CpuUtil, MemUtil, DomMin, DomMax, Jain],
+        strategies: headline,
+        points: resource_points,
+    },
+];
 
 /// The arrival axis: same mean load (`count` calls over `window`), four
 /// shapes.
@@ -324,16 +397,18 @@ fn weight_axis(quick: bool) -> Vec<WeightSpec> {
 /// The strategy axis: the paper's headline comparison plus the strongest
 /// size-based policy.
 fn strategy_axis(quick: bool) -> Vec<Strategy> {
+    use Strategy::{Baseline, Fc, Fifo, Sept};
     if quick {
-        vec![Strategy::Baseline, Strategy::Fc]
+        vec![Baseline, Fc]
     } else {
-        vec![
-            Strategy::Baseline,
-            Strategy::Fifo,
-            Strategy::Sept,
-            Strategy::Fc,
-        ]
+        vec![Baseline, Fifo, Sept, Fc]
     }
+}
+
+/// The paper's headline pair, in both modes: the scaling, robustness,
+/// trace and resource tables compare regimes, not the policy grid.
+fn headline(_quick: bool) -> Vec<Strategy> {
+    vec![Strategy::Baseline, Strategy::Fc]
 }
 
 /// Worker counts of the cluster-size sweep.
@@ -361,417 +436,22 @@ fn trace_axis(window: SimDuration, quick: bool) -> Vec<SynthSpec> {
 /// Worker count of the trace-replay table.
 const TRACE_NODES: u16 = 2;
 
-/// Ingestion window of the trace-replay table: small enough that the
-/// peak-resident column demonstrates the bounded working set, large
-/// enough to amortize the windowed drain.
+/// Ingestion window of cluster points with a trace source: small enough
+/// that the peak-resident column demonstrates the bounded working set,
+/// large enough to amortize the windowed drain.
 const TRACE_CHUNK: usize = 512;
-
-/// Run the sweep.
-pub fn run(effort: Effort) -> SweepResult {
-    let catalogue = Catalogue::sebs();
-    // Both modes keep the paper's 10-core node at an intensity where
-    // scheduling matters; the full sweep runs the stressed regime.
-    let (cores, intensity) = if effort.quick { (10, 60) } else { (10, 90) };
-    let window = SimDuration::from_secs(60);
-    let count = catalogue.len() * cores as usize * intensity as usize / 10;
-    let seeds = effort.seed_set();
-
-    let arrivals = arrival_axis(count, window, effort.quick);
-    let mixes = mix_axis(effort.quick);
-    let weight_specs = weight_axis(effort.quick);
-    let strategies = strategy_axis(effort.quick);
-
-    #[allow(clippy::type_complexity)]
-    let tasks: Vec<(&ArrivalSpec, &MixSpec, &WeightSpec, Strategy, u64)> = arrivals
-        .iter()
-        .flat_map(|a| {
-            mixes.iter().flat_map({
-                let (weight_specs, strategies, seeds) = (&weight_specs, &strategies, &seeds);
-                move |m| {
-                    weight_specs.iter().flat_map(move |w| {
-                        strategies
-                            .iter()
-                            .flat_map(move |&s| seeds.iter().map(move |&seed| (a, m, w, s, seed)))
-                    })
-                }
-            })
-        })
-        .collect();
-
-    struct TaskOut {
-        arrival: String,
-        mix: String,
-        weights: String,
-        strategy: Strategy,
-        outcomes: Vec<CallOutcome>,
-        cold_starts: usize,
-        peak_queue: usize,
-        peak_events: usize,
-    }
-
-    let outputs: Vec<TaskOut> = tasks
-        .par_iter()
-        .map(|&(arrival, mix, weights, strategy, seed)| {
-            let spec = WorkloadSpec {
-                arrival: arrival.clone(),
-                mix: mix.clone(),
-                weights: weights.clone(),
-                window,
-            };
-            let weight_table = spec.weights.table(&catalogue);
-            let mut root = Xoshiro256::seed_from_u64(seed);
-            let mut rng_times = root.derive_stream(STREAM_TIMES);
-            let mut rng_assign = root.derive_stream(STREAM_ASSIGN);
-            let (mut calls, burst_start) = warmup_for_spec(&catalogue, cores);
-            calls.extend(spec.generate_sorted(
-                &catalogue,
-                burst_start,
-                &mut rng_times,
-                &mut rng_assign,
-                calls.len() as u64,
-            ));
-            let result = simulate_calls_weighted(
-                &catalogue,
-                &calls,
-                &mode_for(strategy),
-                &NodeConfig::paper(cores),
-                &weight_table,
-                seed,
-                0,
-            );
-            TaskOut {
-                arrival: spec.arrival.label(),
-                mix: spec.mix.label(&catalogue),
-                weights: spec.weights.label(),
-                strategy,
-                cold_starts: result.measured_cold_starts(),
-                peak_queue: result.peak_queue,
-                peak_events: result.peak_events,
-                outcomes: result.measured().copied().collect(),
-            }
-        })
-        .collect();
-
-    // Reduce over seeds with reused scratch buffers.
-    let mut rows = Vec::new();
-    let mut refs: Vec<&CallOutcome> = Vec::new();
-    let mut resp_scratch: Vec<f64> = Vec::new();
-    let mut stretch_scratch: Vec<f64> = Vec::new();
-    for arrival in &arrivals {
-        for mix in &mixes {
-            for weights in &weight_specs {
-                for &strategy in &strategies {
-                    let a_label = arrival.label();
-                    let m_label = mix.label(&catalogue);
-                    let w_label = weights.label();
-                    let mut pooled_resp: Vec<f64> = Vec::new();
-                    let mut pooled_stretch: Vec<f64> = Vec::new();
-                    let mut cold_starts = 0;
-                    let mut peak_queue = 0;
-                    let mut peak_events = 0;
-                    for out in outputs.iter().filter(|o| {
-                        o.arrival == a_label
-                            && o.mix == m_label
-                            && o.weights == w_label
-                            && o.strategy == strategy
-                    }) {
-                        refs.clear();
-                        refs.extend(out.outcomes.iter());
-                        response_times_into(&refs, &mut resp_scratch);
-                        stretches_into(&refs, &catalogue, &mut stretch_scratch);
-                        pooled_resp.extend_from_slice(&resp_scratch);
-                        pooled_stretch.extend_from_slice(&stretch_scratch);
-                        cold_starts += out.cold_starts;
-                        peak_queue = peak_queue.max(out.peak_queue);
-                        peak_events = peak_events.max(out.peak_events);
-                    }
-                    rows.push(SweepRow {
-                        arrival: a_label,
-                        mix: m_label,
-                        weights: w_label,
-                        strategy,
-                        calls: pooled_resp.len(),
-                        response: MetricSummary::from_values(&pooled_resp),
-                        stretch: MetricSummary::from_values(&pooled_stretch),
-                        cold_starts,
-                        peak_queue,
-                        peak_events,
-                    });
-                }
-            }
-        }
-    }
-
-    let cluster_rows = run_cluster_sweep(&catalogue, cores, intensity, window, effort);
-    let fault_rows = run_fault_sweep(&catalogue, cores, intensity, window, effort);
-    let coupled_rows = run_coupled_sweep(&catalogue, cores, intensity, window, effort);
-    let trace_rows = run_trace_sweep(&catalogue, cores, window, effort);
-    let resource_rows = run_resource_sweep(&catalogue, cores, intensity, window, effort);
-    SweepResult {
-        cores,
-        intensity,
-        rows,
-        cluster_rows,
-        fault_rows,
-        coupled_rows,
-        trace_rows,
-        resource_rows,
-    }
-}
 
 /// The fault-scenario axis: a fault-free control plus the three seeded
 /// presets, anchored to the measured burst window.
-fn fault_axis(seed: u64, burst_start: SimTime, window: SimDuration) -> Vec<(String, FaultSpec)> {
+fn fault_axis(seed: u64, start: SimTime, window: SimDuration) -> Vec<(String, FaultSpec)> {
+    let degrade = FaultSpec::degradation(seed, start, window);
+    let crash = FaultSpec::crash_restart(seed, start, window);
     vec![
         ("none".into(), FaultSpec::none()),
-        (
-            "degrade".into(),
-            FaultSpec::degradation(seed, burst_start, window),
-        ),
-        (
-            "crash".into(),
-            FaultSpec::crash_restart(seed, burst_start, window),
-        ),
+        ("degrade".into(), degrade),
+        ("crash".into(), crash),
         ("retry-storm".into(), FaultSpec::retry_storm(seed)),
     ]
-}
-
-/// The robustness sweep: the paper's uniform/equal burst replayed under
-/// each fault scenario (see [`fault_axis`]) per strategy — goodput, drop
-/// rate, retry cost and the delivered p99 next to the fault-free control.
-fn run_fault_sweep(
-    catalogue: &Catalogue,
-    cores: u32,
-    intensity: u32,
-    window: SimDuration,
-    effort: Effort,
-) -> Vec<FaultSweepRow> {
-    let count = catalogue.len() * cores as usize * intensity as usize / 10;
-    // The robustness table compares regimes under stress, not the policy
-    // grid: keep the paper's headline pair in both modes.
-    let strategies = vec![Strategy::Baseline, Strategy::Fc];
-    let seeds = effort.seed_set();
-    let (_, burst_start) = warmup_for_spec(catalogue, cores);
-    let scenario_labels: Vec<String> = fault_axis(0, burst_start, window)
-        .into_iter()
-        .map(|(label, _)| label)
-        .collect();
-
-    #[allow(clippy::type_complexity)]
-    let tasks: Vec<(String, FaultSpec, Strategy, u64)> = seeds
-        .iter()
-        .flat_map(|&seed| {
-            // The fault draws are seeded per run seed, so pooling over
-            // seeds samples fault realizations too.
-            let axis = fault_axis(seed ^ 0xFA17, burst_start, window);
-            axis.into_iter().flat_map({
-                let strategies = &strategies;
-                move |(label, spec)| {
-                    strategies
-                        .iter()
-                        .map(move |&s| (label.clone(), spec.clone(), s, seed))
-                }
-            })
-        })
-        .collect();
-
-    struct FaultOut {
-        scenario: String,
-        strategy: Strategy,
-        outcomes: Vec<CallOutcome>,
-        dropped: usize,
-        counts: FaultCounts,
-    }
-
-    let outputs: Vec<FaultOut> = tasks
-        .par_iter()
-        .map(|(label, faults, strategy, seed)| {
-            let spec = WorkloadSpec {
-                arrival: ArrivalSpec::Uniform { count },
-                mix: MixSpec::Equal,
-                weights: WeightSpec::Uniform,
-                window,
-            };
-            let mut root = Xoshiro256::seed_from_u64(*seed);
-            let mut rng_times = root.derive_stream(STREAM_TIMES);
-            let mut rng_assign = root.derive_stream(STREAM_ASSIGN);
-            let (mut calls, burst_start) = warmup_for_spec(catalogue, cores);
-            let id_base = calls.len() as u64;
-            calls.extend(spec.generate_sorted(
-                catalogue,
-                burst_start,
-                &mut rng_times,
-                &mut rng_assign,
-                id_base,
-            ));
-            let result = simulate_calls_faulted(
-                catalogue,
-                &calls,
-                &mode_for(*strategy),
-                &NodeConfig::paper(cores),
-                &WeightTable::uniform(catalogue.len()),
-                faults,
-                *seed,
-                0,
-            );
-            let fs = result.fault_stats;
-            FaultOut {
-                scenario: label.clone(),
-                strategy: *strategy,
-                // Measured drops only: burst ids start at `id_base`.
-                dropped: result.drops.iter().filter(|d| d.id.0 >= id_base).count(),
-                counts: FaultCounts {
-                    retries: fs.retries,
-                    timeouts: fs.timeouts,
-                    transient_failures: fs.transient_failures,
-                    crashes: fs.crashes,
-                    failovers: fs.failovers,
-                },
-                outcomes: result.measured().copied().collect(),
-            }
-        })
-        .collect();
-
-    let mut rows = Vec::new();
-    for label in &scenario_labels {
-        for &strategy in &strategies {
-            let mut pooled: Vec<CallOutcome> = Vec::new();
-            let mut dropped = 0;
-            let mut counts = FaultCounts::default();
-            for out in outputs
-                .iter()
-                .filter(|o| &o.scenario == label && o.strategy == strategy)
-            {
-                pooled.extend(out.outcomes.iter().copied());
-                dropped += out.dropped;
-                counts.retries += out.counts.retries;
-                counts.timeouts += out.counts.timeouts;
-                counts.transient_failures += out.counts.transient_failures;
-                counts.crashes += out.counts.crashes;
-                counts.failovers += out.counts.failovers;
-            }
-            let refs: Vec<&CallOutcome> = pooled.iter().collect();
-            let mut resp = Vec::new();
-            response_times_into(&refs, &mut resp);
-            rows.push(FaultSweepRow {
-                scenario: label.clone(),
-                strategy,
-                robustness: RobustnessSummary::from_outcomes(&refs, dropped, counts),
-                response: MetricSummary::from_values(&resp),
-            });
-        }
-    }
-    rows
-}
-
-/// The cluster-size sweep: the paper's fixed-total-load design (§VIII)
-/// on independent round-robin workers, crossed with the weighted axis.
-fn run_cluster_sweep(
-    catalogue: &Catalogue,
-    cores: u32,
-    intensity: u32,
-    window: SimDuration,
-    effort: Effort,
-) -> Vec<ClusterSweepRow> {
-    let count = catalogue.len() * cores as usize * intensity as usize / 10;
-    let node_counts = node_axis(effort.quick);
-    let weight_specs = weight_axis(effort.quick);
-    // The cluster table is about scaling, not the policy grid: keep the
-    // paper's headline pair in both modes.
-    let strategies = vec![Strategy::Baseline, Strategy::Fc];
-    let seeds = effort.seed_set();
-
-    #[allow(clippy::type_complexity)]
-    let tasks: Vec<(u16, &WeightSpec, Strategy, u64)> = node_counts
-        .iter()
-        .flat_map(|&n| {
-            weight_specs.iter().flat_map({
-                let (strategies, seeds) = (&strategies, &seeds);
-                move |w| {
-                    strategies
-                        .iter()
-                        .flat_map(move |&s| seeds.iter().map(move |&seed| (n, w, s, seed)))
-                }
-            })
-        })
-        .collect();
-
-    struct ClusterOut {
-        nodes: u16,
-        weights: String,
-        strategy: Strategy,
-        outcomes: Vec<CallOutcome>,
-        cold_starts: usize,
-        peak_events: usize,
-    }
-
-    // The cluster engine already fans the nodes out on rayon; run the
-    // configurations serially to keep peak memory flat.
-    let outputs: Vec<ClusterOut> = tasks
-        .iter()
-        .map(|&(nodes, weights, strategy, seed)| {
-            let spec = WorkloadSpec {
-                arrival: ArrivalSpec::Uniform { count },
-                mix: MixSpec::Equal,
-                weights: weights.clone(),
-                window,
-            };
-            let cfg = ClusterConfig::independent(
-                nodes,
-                NodeConfig::paper(cores),
-                LoadBalancer::RoundRobin,
-            );
-            let result = run_cluster_streamed_coupled(
-                catalogue,
-                &spec,
-                &mode_for(strategy),
-                &cfg,
-                &FaultSpec::none(),
-                seed,
-                seed ^ 0xC1u64,
-            );
-            ClusterOut {
-                nodes,
-                weights: spec.weights.label(),
-                strategy,
-                cold_starts: result.measured_cold_starts(),
-                peak_events: result.peak_events,
-                outcomes: result.measured().copied().collect(),
-            }
-        })
-        .collect();
-
-    let mut rows = Vec::new();
-    for &nodes in &node_counts {
-        for weights in &weight_specs {
-            for &strategy in &strategies {
-                let w_label = weights.label();
-                let mut pooled: Vec<f64> = Vec::new();
-                let mut cold_starts = 0;
-                let mut peak_events = 0;
-                let mut calls = 0;
-                for out in outputs
-                    .iter()
-                    .filter(|o| o.nodes == nodes && o.weights == w_label && o.strategy == strategy)
-                {
-                    pooled.extend(out.outcomes.iter().map(|o| o.response_time().as_secs_f64()));
-                    calls += out.outcomes.len();
-                    cold_starts += out.cold_starts;
-                    peak_events = peak_events.max(out.peak_events);
-                }
-                rows.push(ClusterSweepRow {
-                    nodes,
-                    weights: w_label,
-                    strategy,
-                    calls,
-                    response: MetricSummary::from_values(&pooled),
-                    cold_starts,
-                    peak_events,
-                });
-            }
-        }
-    }
-    rows
 }
 
 /// The LB-policy axis of the coupled robustness table: the static
@@ -780,243 +460,27 @@ fn run_cluster_sweep(
 /// failover. LB seeds are derived per run seed so pooling over seeds
 /// samples tie-break realizations too.
 fn coupled_lb_axis(seed: u64) -> Vec<(String, LoadBalancer, bool)> {
-    let lb_seed = seed ^ 0x1BA1;
+    let seed = seed ^ 0x1BA1;
+    let (jsq, p2c) = (
+        LoadBalancer::JoinShortestQueue { seed },
+        LoadBalancer::PowerOfTwoChoices { seed },
+    );
     vec![
         ("static-rr".into(), LoadBalancer::RoundRobin, false),
-        (
-            "jsq".into(),
-            LoadBalancer::JoinShortestQueue { seed: lb_seed },
-            true,
-        ),
-        (
-            "p2c".into(),
-            LoadBalancer::PowerOfTwoChoices { seed: lb_seed },
-            true,
-        ),
+        ("jsq".into(), jsq, true),
+        ("p2c".into(), p2c, true),
     ]
 }
 
-/// Conservative-window width of the coupled sweep: a health-poll-scale
-/// lookahead, wide enough to amortize barriers, narrow enough that the
-/// balancers see a crashed node within a fraction of its outage.
+/// Conservative-window width of the coupled and resource tables: a
+/// health-poll-scale lookahead, wide enough to amortize barriers, narrow
+/// enough that the balancers see a crashed node within a fraction of its
+/// outage.
 const COUPLED_LOOKAHEAD: SimDuration = SimDuration::from_millis(250);
 
-/// Worker count of the coupled robustness table (the acceptance bar asks
-/// for the crash-failover story at 4+ nodes).
+/// Worker count of the coupled robustness table (the crash-failover story
+/// needs 4+ nodes).
 const COUPLED_NODES: u16 = 4;
-
-/// The coupled-engine robustness sweep: the §VIII fixed total load on
-/// [`COUPLED_NODES`] workers under [`FaultSpec::crash_strict`] — node 0
-/// dies mid-burst while an impatient client times queued calls out — per
-/// LB policy and strategy. Static round-robin keeps committing calls to
-/// the dead node's shard and drops them; the feedback policies route
-/// around the outage and fail killed attempts over, which is exactly the
-/// goodput gap this table exists to show.
-fn run_coupled_sweep(
-    catalogue: &Catalogue,
-    cores: u32,
-    intensity: u32,
-    window: SimDuration,
-    effort: Effort,
-) -> Vec<CoupledSweepRow> {
-    let count = catalogue.len() * cores as usize * intensity as usize / 10;
-    let strategies = vec![Strategy::Baseline, Strategy::Fc];
-    let seeds = effort.seed_set();
-    let (_, burst_start) = warmup_waves(catalogue);
-    let lb_labels: Vec<(String, bool)> = coupled_lb_axis(0)
-        .into_iter()
-        .map(|(label, _, failover)| (label, failover))
-        .collect();
-
-    struct CoupledOut {
-        lb: String,
-        strategy: Strategy,
-        outcomes: Vec<CallOutcome>,
-        dropped: usize,
-        counts: FaultCounts,
-    }
-
-    // The window loop inside the coupled engine already fans the nodes out
-    // on rayon; run the configurations serially.
-    let mut outputs: Vec<CoupledOut> = Vec::new();
-    for &seed in seeds {
-        for (label, lb, failover) in coupled_lb_axis(seed) {
-            for &strategy in &strategies {
-                let spec = WorkloadSpec {
-                    arrival: ArrivalSpec::Uniform { count },
-                    mix: MixSpec::Equal,
-                    weights: WeightSpec::Uniform,
-                    window,
-                };
-                let faults = FaultSpec::crash_strict(seed ^ 0xFA17, burst_start, window);
-                let cfg = ClusterConfig::independent(COUPLED_NODES, NodeConfig::paper(cores), lb)
-                    .coupled(COUPLED_LOOKAHEAD, failover);
-                let result = run_cluster_streamed_coupled(
-                    catalogue,
-                    &spec,
-                    &mode_for(strategy),
-                    &cfg,
-                    &faults,
-                    seed,
-                    seed ^ 0xC1u64,
-                );
-                let fs = result.fault_stats;
-                outputs.push(CoupledOut {
-                    lb: label.clone(),
-                    strategy,
-                    // Measured drops only: burst ids are below `count`
-                    // (warmup ids start at the burst length).
-                    dropped: result
-                        .drops
-                        .iter()
-                        .filter(|d| (d.id.0 as usize) < count)
-                        .count(),
-                    counts: FaultCounts {
-                        retries: fs.retries,
-                        timeouts: fs.timeouts,
-                        transient_failures: fs.transient_failures,
-                        crashes: fs.crashes,
-                        failovers: fs.failovers,
-                    },
-                    outcomes: result.measured().copied().collect(),
-                });
-            }
-        }
-    }
-
-    let mut rows = Vec::new();
-    for (label, failover) in &lb_labels {
-        for &strategy in &strategies {
-            let mut pooled: Vec<CallOutcome> = Vec::new();
-            let mut dropped = 0;
-            let mut counts = FaultCounts::default();
-            for out in outputs
-                .iter()
-                .filter(|o| &o.lb == label && o.strategy == strategy)
-            {
-                pooled.extend(out.outcomes.iter().copied());
-                dropped += out.dropped;
-                counts.retries += out.counts.retries;
-                counts.timeouts += out.counts.timeouts;
-                counts.transient_failures += out.counts.transient_failures;
-                counts.crashes += out.counts.crashes;
-                counts.failovers += out.counts.failovers;
-            }
-            let refs: Vec<&CallOutcome> = pooled.iter().collect();
-            let mut resp = Vec::new();
-            response_times_into(&refs, &mut resp);
-            rows.push(CoupledSweepRow {
-                lb: label.clone(),
-                failover: *failover,
-                strategy,
-                robustness: RobustnessSummary::from_outcomes(&refs, dropped, counts),
-                response: MetricSummary::from_values(&resp),
-            });
-        }
-    }
-    rows
-}
-
-/// The trace-replay sweep: each synthetic trace of [`trace_axis`]
-/// streamed through [`run_cluster_trace_streamed`] on [`TRACE_NODES`]
-/// workers with a [`TRACE_CHUNK`]-call ingestion window, per strategy.
-/// The trace seed is derived per run seed, so pooling over seeds pools
-/// over trace realizations of the same synthesizer spec; a trace is the
-/// complete call log, so no warm-up is injected and every outcome is
-/// measured.
-fn run_trace_sweep(
-    catalogue: &Catalogue,
-    cores: u32,
-    window: SimDuration,
-    effort: Effort,
-) -> Vec<TraceSweepRow> {
-    let specs = trace_axis(window, effort.quick);
-    let strategies = vec![Strategy::Baseline, Strategy::Fc];
-    let seeds = effort.seed_set();
-
-    #[allow(clippy::type_complexity)]
-    let tasks: Vec<(&SynthSpec, Strategy, u64)> = specs
-        .iter()
-        .flat_map(|spec| {
-            let seeds = &seeds;
-            strategies
-                .iter()
-                .flat_map(move |&s| seeds.iter().map(move |&seed| (spec, s, seed)))
-        })
-        .collect();
-
-    struct TraceOut {
-        trace: String,
-        strategy: Strategy,
-        outcomes: Vec<CallOutcome>,
-        cold_starts: usize,
-        peak_resident: u64,
-        peak_events: usize,
-    }
-
-    // The cluster engine already fans the nodes out on rayon; run the
-    // configurations serially to keep peak memory flat.
-    let outputs: Vec<TraceOut> = tasks
-        .iter()
-        .map(|&(spec, strategy, seed)| {
-            let trace = SyntheticTrace::new(spec, catalogue, SimTime::ZERO, seed ^ 0x7AC3);
-            let cfg = ClusterConfig::independent(
-                TRACE_NODES,
-                NodeConfig::paper(cores),
-                LoadBalancer::RoundRobin,
-            );
-            let result = run_cluster_trace_streamed(
-                catalogue,
-                &trace,
-                &mode_for(strategy),
-                &cfg,
-                &FaultSpec::none(),
-                seed ^ 0xC1u64,
-                TRACE_CHUNK,
-            );
-            TraceOut {
-                trace: spec.label(),
-                strategy,
-                cold_starts: result.measured_cold_starts(),
-                peak_resident: result.peak_resident_calls,
-                peak_events: result.peak_events,
-                outcomes: result.measured().copied().collect(),
-            }
-        })
-        .collect();
-
-    let mut rows = Vec::new();
-    for spec in &specs {
-        for &strategy in &strategies {
-            let label = spec.label();
-            let mut pooled: Vec<f64> = Vec::new();
-            let mut calls = 0;
-            let mut cold_starts = 0;
-            let mut peak_resident = 0;
-            let mut peak_events = 0;
-            for out in outputs
-                .iter()
-                .filter(|o| o.trace == label && o.strategy == strategy)
-            {
-                pooled.extend(out.outcomes.iter().map(|o| o.response_time().as_secs_f64()));
-                calls += out.outcomes.len();
-                cold_starts += out.cold_starts;
-                peak_resident = peak_resident.max(out.peak_resident);
-                peak_events = peak_events.max(out.peak_events);
-            }
-            rows.push(TraceSweepRow {
-                trace: label,
-                strategy,
-                calls,
-                response: MetricSummary::from_values(&pooled),
-                cold_starts,
-                peak_resident,
-                peak_events,
-            });
-        }
-    }
-    rows
-}
 
 /// The resource-configuration axis of the multi-resource table: a
 /// single-resource control (memory unmodeled, backlog-keyed JSQ — the
@@ -1025,23 +489,15 @@ fn run_trace_sweep(
 /// derived per run seed so pooling over seeds samples tie-break
 /// realizations too. The bool marks whether the memory axis is modeled.
 fn resource_lb_axis(seed: u64) -> Vec<(String, LoadBalancer, bool)> {
-    let lb_seed = seed ^ 0xD2F;
+    let seed = seed ^ 0xD2F;
+    let (jsq, jsd) = (
+        LoadBalancer::JoinShortestQueue { seed },
+        LoadBalancer::JoinShortestDominant { seed },
+    );
     vec![
-        (
-            "cpu-only/jsq".into(),
-            LoadBalancer::JoinShortestQueue { seed: lb_seed },
-            false,
-        ),
-        (
-            "mem/jsq".into(),
-            LoadBalancer::JoinShortestQueue { seed: lb_seed },
-            true,
-        ),
-        (
-            "mem/jsd".into(),
-            LoadBalancer::JoinShortestDominant { seed: lb_seed },
-            true,
-        ),
+        ("cpu-only/jsq".into(), jsq, false),
+        ("mem/jsq".into(), jsq, true),
+        ("mem/jsd".into(), jsd, true),
     ]
 }
 
@@ -1055,302 +511,297 @@ const RESOURCE_NODES: u16 = 4;
 /// big-memory tier, so dominant shares genuinely diverge from backlogs.
 const RESOURCE_MEM_BW: f64 = 8.0;
 
-/// The multi-resource sweep: the §VIII fixed total load on
-/// [`RESOURCE_NODES`] workers under the memory-correlated tier model,
-/// per resource configuration (see [`resource_lb_axis`]) and strategy.
-/// Runs through the per-node coupled entry point so each node's served
-/// CPU/memory work is observable, then reduces to per-resource
-/// utilization and the cross-node dominant-share fairness index: served
-/// work and horizons are summed over seeds before dividing, so the pooled
-/// utilization is the work-weighted mean of the per-seed ones.
-fn run_resource_sweep(
-    catalogue: &Catalogue,
-    cores: u32,
-    intensity: u32,
-    window: SimDuration,
-    effort: Effort,
-) -> Vec<ResourceSweepRow> {
-    let count = catalogue.len() * cores as usize * intensity as usize / 10;
-    let strategies = vec![Strategy::Baseline, Strategy::Fc];
-    let seeds = effort.seed_set();
-    let labels: Vec<(String, bool)> = resource_lb_axis(0)
-        .into_iter()
-        .map(|(label, _, mem_modeled)| (label, mem_modeled))
-        .collect();
-
-    struct ResourceOut {
-        config: String,
-        strategy: Strategy,
-        outcomes: Vec<CallOutcome>,
-        usages: Vec<ResourceUsage>,
-        horizon_secs: f64,
-    }
-
-    // The window loop inside the coupled engine already fans the nodes out
-    // on rayon; run the configurations serially.
-    let mut outputs: Vec<ResourceOut> = Vec::new();
-    for &seed in seeds {
-        for (label, lb, mem_modeled) in resource_lb_axis(seed) {
-            for &strategy in &strategies {
+/// `workload`: arrival × mix × weights on one node.
+fn workload_points(ctx: &Ctx, _seed: u64) -> Vec<Point> {
+    let mut points = Vec::new();
+    for arrival in arrival_axis(ctx.count, ctx.window, ctx.quick) {
+        for mix in mix_axis(ctx.quick) {
+            for weights in weight_axis(ctx.quick) {
                 let spec = WorkloadSpec {
-                    arrival: ArrivalSpec::Uniform { count },
-                    mix: MixSpec::Equal,
-                    weights: WeightSpec::paper_tiers_mem(),
-                    window,
+                    arrival: arrival.clone(),
+                    mix: mix.clone(),
+                    weights,
+                    window: ctx.window,
                 };
-                let node = if mem_modeled {
-                    NodeConfig::paper(cores).with_mem_bandwidth(RESOURCE_MEM_BW)
-                } else {
-                    NodeConfig::paper(cores)
-                };
-                let cfg = ClusterConfig::independent(RESOURCE_NODES, node, lb)
-                    .coupled(COUPLED_LOOKAHEAD, false);
-                let per_node = run_cluster_streamed_coupled_per_node(
-                    catalogue,
-                    &spec,
-                    &mode_for(strategy),
-                    &cfg,
-                    &FaultSpec::none(),
-                    seed,
-                    seed ^ 0xC1u64,
-                );
-                let horizon_secs = per_node
-                    .iter()
-                    .map(|r| r.last_completion)
-                    .max()
-                    .expect("at least one node")
-                    .as_secs_f64();
-                outputs.push(ResourceOut {
-                    config: label.clone(),
-                    strategy,
-                    usages: per_node
-                        .iter()
-                        .map(|r| ResourceUsage {
-                            cpu_secs: r.served_cpu_secs,
-                            mem_units: r.served_mem_units,
-                        })
-                        .collect(),
-                    horizon_secs,
-                    outcomes: per_node
-                        .iter()
-                        .flat_map(|r| r.measured().copied())
-                        .collect(),
+                points.push(Point {
+                    label: format!("{}/{}", spec.label(&ctx.catalogue), spec.weights.label()),
+                    source: Source::Node(spec),
+                    cluster: ctx.cluster(1, LoadBalancer::RoundRobin),
+                    faults: FaultSpec::none(),
                 });
             }
         }
     }
+    points
+}
 
-    let mut rows = Vec::new();
-    for (label, mem_modeled) in &labels {
-        for &strategy in &strategies {
-            let mut usages = vec![ResourceUsage::default(); RESOURCE_NODES as usize];
-            let mut horizon_secs = 0.0;
-            let mut resp: Vec<f64> = Vec::new();
-            for out in outputs
-                .iter()
-                .filter(|o| &o.config == label && o.strategy == strategy)
-            {
-                for (acc, u) in usages.iter_mut().zip(&out.usages) {
-                    acc.cpu_secs += u.cpu_secs;
-                    acc.mem_units += u.mem_units;
-                }
-                horizon_secs += out.horizon_secs;
-                resp.extend(out.outcomes.iter().map(|o| o.response_time().as_secs_f64()));
-            }
-            let mem_bandwidth = if *mem_modeled { RESOURCE_MEM_BW } else { 0.0 };
-            rows.push(ResourceSweepRow {
-                config: label.clone(),
-                strategy,
-                calls: resp.len(),
-                response: MetricSummary::from_values(&resp),
-                resource: ResourceSummary::from_usages(
-                    &usages,
-                    cores as f64,
-                    mem_bandwidth,
-                    horizon_secs,
-                ),
+/// `cluster`: worker count × weights at the fixed total load.
+fn cluster_points(ctx: &Ctx, _seed: u64) -> Vec<Point> {
+    let mut points = Vec::new();
+    for nodes in node_axis(ctx.quick) {
+        for weights in weight_axis(ctx.quick) {
+            points.push(Point {
+                label: format!("{nodes}/{}", weights.label()),
+                source: Source::Cluster(WorkloadSource::Spec(ctx.uniform(weights))),
+                cluster: ctx.cluster(nodes, LoadBalancer::RoundRobin),
+                faults: FaultSpec::none(),
             });
         }
     }
-    rows
+    points
 }
 
-/// Render the sweep comparison tables.
+/// `fault`: the uniform burst on one node under each fault scenario; the
+/// fault draws are seeded per run seed.
+fn fault_points(ctx: &Ctx, seed: u64) -> Vec<Point> {
+    fault_axis(seed ^ 0xFA17, ctx.burst_start, ctx.window)
+        .into_iter()
+        .map(|(label, faults)| Point {
+            label,
+            source: Source::Node(ctx.uniform(WeightSpec::Uniform)),
+            cluster: ctx.cluster(1, LoadBalancer::RoundRobin),
+            faults,
+        })
+        .collect()
+}
+
+/// `coupled`: the fixed total load on [`COUPLED_NODES`] coupled workers
+/// under [`FaultSpec::crash_strict`] — node 0 dies mid-burst while an
+/// impatient client times queued calls out — per LB policy. Static
+/// round-robin keeps committing calls to the dead node's shard and drops
+/// them; the feedback policies route around the outage and fail killed
+/// attempts over, which is the goodput gap this table shows.
+fn coupled_points(ctx: &Ctx, seed: u64) -> Vec<Point> {
+    coupled_lb_axis(seed)
+        .into_iter()
+        .map(|(label, lb, failover)| Point {
+            label,
+            source: Source::Cluster(WorkloadSource::Spec(ctx.uniform(WeightSpec::Uniform))),
+            cluster: ctx
+                .cluster(COUPLED_NODES, lb)
+                .coupled(COUPLED_LOOKAHEAD, failover),
+            faults: FaultSpec::crash_strict(seed ^ 0xFA17, ctx.burst_start, ctx.window),
+        })
+        .collect()
+}
+
+/// `trace`: each synthetic trace of [`trace_axis`] on [`TRACE_NODES`]
+/// round-robin workers. A trace is the complete call log, so no warm-up
+/// is injected and every outcome is measured.
+fn trace_points(ctx: &Ctx, _seed: u64) -> Vec<Point> {
+    trace_axis(ctx.window, ctx.quick)
+        .into_iter()
+        .map(|spec| Point {
+            label: spec.label(),
+            source: Source::Cluster(WorkloadSource::Trace(TraceSpec::Synthetic(spec))),
+            cluster: ctx.cluster(TRACE_NODES, LoadBalancer::RoundRobin),
+            faults: FaultSpec::none(),
+        })
+        .collect()
+}
+
+/// `resource`: the fixed total load under the memory-correlated tier
+/// model on [`RESOURCE_NODES`] coupled workers, per resource
+/// configuration (see [`resource_lb_axis`]).
+fn resource_points(ctx: &Ctx, seed: u64) -> Vec<Point> {
+    resource_lb_axis(seed)
+        .into_iter()
+        .map(|(label, lb, mem_modeled)| {
+            let mut cluster = ctx
+                .cluster(RESOURCE_NODES, lb)
+                .coupled(COUPLED_LOOKAHEAD, false);
+            if mem_modeled {
+                cluster.node = cluster.node.with_mem_bandwidth(RESOURCE_MEM_BW);
+            }
+            Point {
+                label,
+                source: Source::Cluster(WorkloadSource::Spec(
+                    ctx.uniform(WeightSpec::paper_tiers_mem()),
+                )),
+                cluster,
+                faults: FaultSpec::none(),
+            }
+        })
+        .collect()
+}
+
+/// Run one (point, strategy, seed) task: one result per node.
+fn run_task(ctx: &Ctx, point: &Point, strategy: Strategy, seed: u64) -> Vec<NodeResult> {
+    let (catalogue, mode) = (&ctx.catalogue, mode_for(strategy));
+    match &point.source {
+        Source::Node(spec) => {
+            let (node, faults) = (&point.cluster.node, &point.faults);
+            let mut root = Xoshiro256::seed_from_u64(seed);
+            let mut times = root.derive_stream(STREAM_TIMES);
+            let mut assign = root.derive_stream(STREAM_ASSIGN);
+            let (mut calls, start) = warmup_for_spec(catalogue, node.cores);
+            let id_base = calls.len() as u64;
+            calls.extend(spec.generate_sorted(catalogue, start, &mut times, &mut assign, id_base));
+            let weights = spec.weights.table(catalogue);
+            vec![simulate_calls_faulted(
+                catalogue, &calls, &mode, node, &weights, faults, seed, 0,
+            )]
+        }
+        Source::Cluster(source) => {
+            let scenario_seed = match source {
+                WorkloadSource::Spec(_) => seed,
+                WorkloadSource::Trace(_) => seed ^ 0x7AC3,
+            };
+            run_cluster_source(
+                catalogue,
+                source,
+                &mode,
+                &point.cluster,
+                &point.faults,
+                scenario_seed,
+                seed ^ 0xC1,
+                TRACE_CHUNK,
+            )
+            .expect("the sweep's sources are synthetic")
+        }
+    }
+}
+
+/// Pool one cell's runs (one per seed, in seed order) into its row.
+fn reduce(
+    ctx: &Ctx,
+    table: &str,
+    point: &Point,
+    strategy: Strategy,
+    runs: Vec<Vec<NodeResult>>,
+) -> Row {
+    // Spec runs warm up first, traces do not; a drop is measured when its
+    // call was released in the measured phase.
+    let burst_start = match &point.source {
+        Source::Cluster(WorkloadSource::Trace(_)) => SimTime::ZERO,
+        _ => ctx.burst_start,
+    };
+    let mut usages = vec![ResourceUsage::default(); point.cluster.nodes as usize];
+    let mut horizon_secs = 0.0;
+    let mut merged = Vec::with_capacity(runs.len());
+    for per_node in runs {
+        for (acc, r) in usages.iter_mut().zip(&per_node) {
+            acc.cpu_secs += r.served_cpu_secs;
+            acc.mem_units += r.served_mem_units;
+        }
+        let run = NodeResult::merge(per_node);
+        horizon_secs += run.last_completion.as_secs_f64();
+        merged.push(run);
+    }
+    let outcomes: Vec<&CallOutcome> = merged.iter().flat_map(|r| r.measured()).collect();
+    let dropped = merged
+        .iter()
+        .flat_map(|r| &r.drops)
+        .filter(|d| d.release >= burst_start)
+        .count();
+    let mut counts = FaultCounts::default();
+    for fs in merged.iter().map(|r| r.fault_stats) {
+        counts.retries += fs.retries;
+        counts.timeouts += fs.timeouts;
+        counts.transient_failures += fs.transient_failures;
+        counts.crashes += fs.crashes;
+        counts.failovers += fs.failovers;
+    }
+    let node = &point.cluster.node;
+    let response = MetricSummary::from_values(&response_times(&outcomes));
+    Row {
+        table: table.into(),
+        label: point.label.clone(),
+        strategy,
+        calls: outcomes.len(),
+        response,
+        stretch: MetricSummary::from_values(&stretches(&outcomes, &ctx.catalogue)),
+        cold_starts: merged.iter().map(|r| r.measured_cold_starts()).sum(),
+        peak_queue: merged.iter().map(|r| r.peak_queue).max().unwrap_or(0),
+        peak_events: merged.iter().map(|r| r.peak_events).max().unwrap_or(0),
+        peak_resident: merged
+            .iter()
+            .map(|r| r.peak_resident_calls)
+            .max()
+            .unwrap_or(0),
+        robustness: RobustnessSummary::new(outcomes.len(), dropped, counts, response.p99),
+        resource: ResourceSummary::from_usages(
+            &usages,
+            node.cores as f64,
+            node.mem_bandwidth,
+            horizon_secs,
+        ),
+    }
+}
+
+/// Run the sweep.
+pub fn run(effort: Effort) -> SweepResult {
+    let ctx = Ctx::new(effort.quick);
+    let seeds = effort.seed_set();
+    // grids[table][seed] lists the table's points drawn with that seed.
+    let grids: Vec<Vec<Vec<Point>>> = TABLES
+        .iter()
+        .map(|t| seeds.iter().map(|&seed| (t.points)(&ctx, seed)).collect())
+        .collect();
+    // The stand-in rayon hands each thread one contiguous slice of the
+    // cells, so every table's cells are spread evenly over the list: the
+    // coupled cells cost the most at N threads (one parallel section per
+    // window). A cell's runs are reduced as soon as they finish, so only
+    // the cells in flight hold their results.
+    let mut cells = Vec::new();
+    for (table, grid) in TABLES.iter().zip(&grids) {
+        let strategies = (table.strategies)(ctx.quick);
+        let n = grid[0].len() * strategies.len();
+        for i in 0..n {
+            let (p, strategy) = (i / strategies.len(), strategies[i % strategies.len()]);
+            cells.push((i as f64 / n as f64, table.name, grid, p, strategy));
+        }
+    }
+    cells.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut rows: Vec<Row> = cells
+        .par_iter()
+        .map(|&(_, table, grid, p, strategy)| {
+            let runs = grid
+                .iter()
+                .zip(seeds)
+                .map(|(points, &seed)| run_task(&ctx, &points[p], strategy, seed))
+                .collect();
+            reduce(&ctx, table, &grid[0][p], strategy, runs)
+        })
+        .collect();
+    // Back to print order: the sort is stable, so each table keeps its own.
+    rows.sort_by_key(|r| TABLES.iter().position(|t| t.name == r.table));
+    SweepResult {
+        cores: ctx.cores,
+        intensity: ctx.intensity,
+        rows,
+    }
+}
+
+/// Render every table: its title, then one line per row.
 pub fn render(result: &SweepResult) -> String {
-    let mut t = TextTable::new([
-        "arrival/mix/weights/strategy",
-        "calls",
-        "R avg",
-        "R p50",
-        "R p95",
-        "S avg",
-        "cold",
-        "peakQ",
-        "peakEv",
-    ]);
-    for r in &result.rows {
-        t.row([
-            format!(
-                "{}/{}/{}/{}",
-                r.arrival,
-                r.mix,
-                r.weights,
-                r.strategy.name()
-            ),
-            r.calls.to_string(),
-            fmt_secs(r.response.mean),
-            fmt_secs(r.response.p50),
-            fmt_secs(r.response.p95),
-            fmt_secs(r.stretch.mean),
-            r.cold_starts.to_string(),
-            r.peak_queue.to_string(),
-            r.peak_events.to_string(),
-        ]);
-    }
-    let mut c = TextTable::new([
-        "nodes/weights/strategy",
-        "calls",
-        "R avg",
-        "R p50",
-        "R p95",
-        "cold",
-        "peakEv",
-    ]);
-    for r in &result.cluster_rows {
-        c.row([
-            format!("{}/{}/{}", r.nodes, r.weights, r.strategy.name()),
-            r.calls.to_string(),
-            fmt_secs(r.response.mean),
-            fmt_secs(r.response.p50),
-            fmt_secs(r.response.p95),
-            r.cold_starts.to_string(),
-            r.peak_events.to_string(),
-        ]);
-    }
-    let mut f = TextTable::new([
-        "scenario/strategy",
-        "served",
-        "drop",
-        "goodput",
-        "retries",
-        "t/o",
-        "crash",
-        "R p99",
-    ]);
-    for r in &result.fault_rows {
-        f.row([
-            format!("{}/{}", r.scenario, r.strategy.name()),
-            r.robustness.delivered.to_string(),
-            r.robustness.dropped.to_string(),
-            format!("{:.4}", r.robustness.goodput),
-            r.robustness.counts.retries.to_string(),
-            r.robustness.counts.timeouts.to_string(),
-            r.robustness.counts.crashes.to_string(),
-            fmt_secs(r.robustness.p99_response),
-        ]);
-    }
-    let mut cp = TextTable::new([
-        "lb/strategy",
-        "served",
-        "drop",
-        "goodput",
-        "retries",
-        "t/o",
-        "failover",
-        "R p99",
-    ]);
-    for r in &result.coupled_rows {
-        cp.row([
-            format!("{}/{}", r.lb, r.strategy.name()),
-            r.robustness.delivered.to_string(),
-            r.robustness.dropped.to_string(),
-            format!("{:.4}", r.robustness.goodput),
-            r.robustness.counts.retries.to_string(),
-            r.robustness.counts.timeouts.to_string(),
-            r.robustness.counts.failovers.to_string(),
-            fmt_secs(r.robustness.p99_response),
-        ]);
-    }
-    let mut tr = TextTable::new([
-        "trace/strategy",
-        "calls",
-        "R avg",
-        "R p50",
-        "R p95",
-        "cold",
-        "peakRes",
-        "peakEv",
-    ]);
-    for r in &result.trace_rows {
-        tr.row([
-            format!("{}/{}", r.trace, r.strategy.name()),
-            r.calls.to_string(),
-            fmt_secs(r.response.mean),
-            fmt_secs(r.response.p50),
-            fmt_secs(r.response.p95),
-            r.cold_starts.to_string(),
-            r.peak_resident.to_string(),
-            r.peak_events.to_string(),
-        ]);
-    }
-    let mut rs = TextTable::new([
-        "config/strategy",
-        "calls",
-        "R avg",
-        "R p95",
-        "cpuUtil",
-        "memUtil",
-        "domMin",
-        "domMax",
-        "jain",
-    ]);
-    for r in &result.resource_rows {
-        rs.row([
-            format!("{}/{}", r.config, r.strategy.name()),
-            r.calls.to_string(),
-            fmt_secs(r.response.mean),
-            fmt_secs(r.response.p95),
-            format!("{:.3}", r.resource.cpu_utilization),
-            format!("{:.3}", r.resource.mem_utilization),
-            format!("{:.3}", r.resource.dominant_min),
-            format!("{:.3}", r.resource.dominant_max),
-            format!("{:.4}", r.resource.dominant_jain),
-        ]);
-    }
-    format!(
-        "Workload sweep: arrival x mix x weights x strategy at {} cores, \
-         intensity-equivalent {}\n{}\n\
-         Cluster-size sweep (streamed generation, fixed total load)\n{}\n\
-         Fault-scenario sweep (robustness axis)\n{}\n\
-         Coupled-engine robustness ({} nodes, strict crash preset, \
-         lookahead {} ms)\n{}\n\
-         Trace-replay sweep ({} nodes, streamed ingestion, chunk {})\n{}\n\
-         Multi-resource sweep ({} nodes, mem bandwidth {} units, \
-         memory-correlated tiers)\n{}",
-        result.cores,
-        result.intensity,
-        t.render(),
-        c.render(),
-        f.render(),
-        COUPLED_NODES,
-        COUPLED_LOOKAHEAD.as_millis_f64(),
-        cp.render(),
-        TRACE_NODES,
-        TRACE_CHUNK,
-        tr.render(),
-        RESOURCE_NODES,
-        RESOURCE_MEM_BW,
-        rs.render()
-    )
+    let sections: Vec<String> = TABLES
+        .iter()
+        .map(|table| {
+            let cols: Vec<_> = table.cols.iter().map(|c| c.spec()).collect();
+            let mut t = TextTable::new(
+                std::iter::once(table.key).chain(cols.iter().map(|&(header, _)| header)),
+            );
+            for r in result.rows.iter().filter(|r| r.table == table.name) {
+                t.row(
+                    std::iter::once(format!("{}/{}", r.label, r.strategy.name()))
+                        .chain(cols.iter().map(|(_, cell)| cell(r))),
+                );
+            }
+            format!("{}\n{}", (table.title)(result), t.render())
+        })
+        .collect();
+    sections.join("\n")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SEEDS;
     use std::sync::OnceLock;
 
-    /// The quick sweep is shared across tests: it runs 16 node sims plus 8
-    /// cluster sims, so compute it once.
+    /// The quick sweep is shared across tests: it runs 32 node and 26
+    /// cluster simulations, so compute it once.
     fn quick() -> &'static SweepResult {
         static QUICK: OnceLock<SweepResult> = OnceLock::new();
         QUICK.get_or_init(|| {
@@ -1359,6 +810,11 @@ mod tests {
                 quick: true,
             })
         })
+    }
+
+    /// The rows of one table.
+    fn table<'a>(r: &'a SweepResult, name: &str) -> Vec<&'a Row> {
+        r.rows.iter().filter(|row| row.table == name).collect()
     }
 
     /// Expected row count of each table, derived from the very axis lists
@@ -1395,15 +851,19 @@ mod tests {
     #[test]
     fn quick_sweep_covers_the_reduced_axes() {
         let r = quick();
-        assert_eq!(r.rows.len(), expected_rows(true));
+        assert_eq!(table(r, "workload").len(), expected_rows(true));
         assert!(r
-            .row("uniform", "equal", "w-uniform", Strategy::Baseline)
+            .row("workload", "uniform/equal/w-uniform", Strategy::Baseline)
             .is_some());
         assert!(r
-            .row("poisson", "zipf1.2", "w-tiers3", Strategy::Fc)
+            .row("workload", "poisson/zipf1.2/w-tiers3", Strategy::Fc)
             .is_some());
         assert!(r
-            .row("uniform", "equal", "w-tiers3+wu-i1x1", Strategy::Baseline)
+            .row(
+                "workload",
+                "uniform/equal/w-tiers3+wu-i1x1",
+                Strategy::Baseline
+            )
             .is_some());
     }
 
@@ -1411,7 +871,7 @@ mod tests {
     fn uniform_equal_count_matches_paper_formula() {
         let r = quick();
         let row = r
-            .row("uniform", "equal", "w-uniform", Strategy::Fc)
+            .row("workload", "uniform/equal/w-uniform", Strategy::Fc)
             .unwrap();
         // 10 cores, intensity 60: 1.1 * 10 * 60 = 660 calls, 1 seed.
         assert_eq!(row.calls, 660);
@@ -1421,10 +881,9 @@ mod tests {
     fn fc_beats_baseline_across_shapes() {
         let r = quick();
         for arrival in ["uniform", "poisson"] {
-            let fc = r.row(arrival, "equal", "w-uniform", Strategy::Fc).unwrap();
-            let base = r
-                .row(arrival, "equal", "w-uniform", Strategy::Baseline)
-                .unwrap();
+            let label = format!("{arrival}/equal/w-uniform");
+            let fc = r.row("workload", &label, Strategy::Fc).unwrap();
+            let base = r.row("workload", &label, Strategy::Baseline).unwrap();
             assert!(
                 fc.response.mean <= base.response.mean,
                 "{arrival}: FC {} vs baseline {}",
@@ -1439,10 +898,10 @@ mod tests {
         let r = quick();
         // Weights shape the baseline's GPS bank...
         let base_u = r
-            .row("uniform", "equal", "w-uniform", Strategy::Baseline)
+            .row("workload", "uniform/equal/w-uniform", Strategy::Baseline)
             .unwrap();
         let base_w = r
-            .row("uniform", "equal", "w-tiers3", Strategy::Baseline)
+            .row("workload", "uniform/equal/w-tiers3", Strategy::Baseline)
             .unwrap();
         assert!(
             (base_u.response.mean - base_w.response.mean).abs() > 1e-9,
@@ -1450,9 +909,11 @@ mod tests {
         );
         // ...and are inert under the paper's one-core-per-container regime.
         let fc_u = r
-            .row("uniform", "equal", "w-uniform", Strategy::Fc)
+            .row("workload", "uniform/equal/w-uniform", Strategy::Fc)
             .unwrap();
-        let fc_w = r.row("uniform", "equal", "w-tiers3", Strategy::Fc).unwrap();
+        let fc_w = r
+            .row("workload", "uniform/equal/w-tiers3", Strategy::Fc)
+            .unwrap();
         assert_eq!(fc_u.response.mean, fc_w.response.mean);
     }
 
@@ -1460,7 +921,11 @@ mod tests {
     fn warmup_phase_column_is_present_and_sane() {
         let r = quick();
         let lagged = r
-            .row("uniform", "equal", "w-tiers3+wu-i1x1", Strategy::Baseline)
+            .row(
+                "workload",
+                "uniform/equal/w-tiers3+wu-i1x1",
+                Strategy::Baseline,
+            )
             .unwrap();
         // The cgroup-lag column carries the full measured load and healthy
         // sim counters, like every other column.
@@ -1468,9 +933,11 @@ mod tests {
         assert!(lagged.peak_events > 0);
         // It only diverges from plain tiers through the warm-up phase, and
         // is inert under the paper's one-core-per-container regime.
-        let fc_plain = r.row("uniform", "equal", "w-tiers3", Strategy::Fc).unwrap();
+        let fc_plain = r
+            .row("workload", "uniform/equal/w-tiers3", Strategy::Fc)
+            .unwrap();
         let fc_lagged = r
-            .row("uniform", "equal", "w-tiers3+wu-i1x1", Strategy::Fc)
+            .row("workload", "uniform/equal/w-tiers3+wu-i1x1", Strategy::Fc)
             .unwrap();
         assert_eq!(fc_plain.response.mean, fc_lagged.response.mean);
     }
@@ -1478,15 +945,16 @@ mod tests {
     #[test]
     fn cluster_sweep_covers_nodes_and_weights() {
         let r = quick();
-        assert_eq!(r.cluster_rows.len(), expected_cluster_rows(true));
-        for row in &r.cluster_rows {
-            assert_eq!(row.calls, 660, "fixed total load on {} nodes", row.nodes);
+        let rows = table(r, "cluster");
+        assert_eq!(rows.len(), expected_cluster_rows(true));
+        for row in rows {
+            assert_eq!(row.calls, 660, "fixed total load on {}", row.label);
         }
-        let weighted = r.cluster_row(2, "w-tiers3", Strategy::Baseline).unwrap();
+        let weighted = r.row("cluster", "2/w-tiers3", Strategy::Baseline).unwrap();
         assert!(weighted.peak_events > 0);
         // Fixed total load: two workers beat one for the same strategy.
-        let one = r.cluster_row(1, "w-uniform", Strategy::Fc).unwrap();
-        let two = r.cluster_row(2, "w-uniform", Strategy::Fc).unwrap();
+        let one = r.row("cluster", "1/w-uniform", Strategy::Fc).unwrap();
+        let two = r.row("cluster", "2/w-uniform", Strategy::Fc).unwrap();
         assert!(
             two.response.mean <= one.response.mean,
             "2 nodes ({}) must not lose to 1 node ({})",
@@ -1498,10 +966,10 @@ mod tests {
     #[test]
     fn fault_sweep_covers_scenarios_and_controls() {
         let r = quick();
-        assert_eq!(r.fault_rows.len(), expected_fault_rows());
+        assert_eq!(table(r, "fault").len(), expected_fault_rows());
         // The fault-free control: full goodput, zero counters.
         for strategy in [Strategy::Baseline, Strategy::Fc] {
-            let none = r.fault_row("none", strategy).unwrap();
+            let none = r.row("fault", "none", strategy).unwrap();
             assert_eq!(none.robustness.goodput, 1.0);
             assert_eq!(none.robustness.dropped, 0);
             assert_eq!(none.robustness.counts, FaultCounts::default());
@@ -1513,8 +981,8 @@ mod tests {
     fn degradation_raises_the_delivered_tail() {
         let r = quick();
         for strategy in [Strategy::Baseline, Strategy::Fc] {
-            let none = r.fault_row("none", strategy).unwrap();
-            let deg = r.fault_row("degrade", strategy).unwrap();
+            let none = r.row("fault", "none", strategy).unwrap();
+            let deg = r.row("fault", "degrade", strategy).unwrap();
             assert_eq!(deg.robustness.dropped, 0, "degradation drops nothing");
             assert!(
                 deg.robustness.p99_response >= none.robustness.p99_response,
@@ -1529,10 +997,10 @@ mod tests {
     #[test]
     fn crash_and_retry_storm_populate_fault_counters() {
         let r = quick();
-        let crash = r.fault_row("crash", Strategy::Fc).unwrap();
+        let crash = r.row("fault", "crash", Strategy::Fc).unwrap();
         assert_eq!(crash.robustness.counts.crashes, 1, "one crash per seed");
         assert!(crash.robustness.counts.retries > 0);
-        let storm = r.fault_row("retry-storm", Strategy::Baseline).unwrap();
+        let storm = r.row("fault", "retry-storm", Strategy::Baseline).unwrap();
         assert!(storm.robustness.counts.transient_failures > 0);
         assert!(storm.robustness.counts.retries > 0);
         assert!(
@@ -1541,7 +1009,7 @@ mod tests {
             storm.robustness.goodput
         );
         // Conservation surfaces in the summary arithmetic.
-        for row in &r.fault_rows {
+        for row in table(r, "fault") {
             let rb = &row.robustness;
             assert_eq!(rb.delivered + rb.dropped, 660);
             assert!((rb.goodput + rb.drop_rate - 1.0).abs() < 1e-12);
@@ -1551,21 +1019,27 @@ mod tests {
     #[test]
     fn coupled_table_covers_the_lb_axis_and_conserves_calls() {
         let r = quick();
-        assert_eq!(r.coupled_rows.len(), expected_coupled_rows());
-        for row in &r.coupled_rows {
+        let rows = table(r, "coupled");
+        assert_eq!(rows.len(), expected_coupled_rows());
+        for row in rows {
             let rb = &row.robustness;
             assert_eq!(
                 rb.delivered + rb.dropped,
                 660,
                 "{}/{:?}: cluster call conservation",
-                row.lb,
+                row.label,
                 row.strategy
             );
             assert_eq!(rb.counts.crashes, 1, "one crash per seed");
         }
         // The control row runs without failover, the feedback rows with.
-        assert!(!r.coupled_row("static-rr", Strategy::Fc).unwrap().failover);
-        assert!(r.coupled_row("jsq", Strategy::Fc).unwrap().failover);
+        let points = coupled_points(&Ctx::new(true), SEEDS[0]);
+        let failover = |label: &str| {
+            let point = points.iter().find(|p| p.label == label).unwrap();
+            point.cluster.failover
+        };
+        assert!(!failover("static-rr"));
+        assert!(failover("jsq"));
     }
 
     #[test]
@@ -1575,8 +1049,8 @@ mod tests {
         // of the offered load than the static control, for both regimes.
         let r = quick();
         for strategy in [Strategy::Baseline, Strategy::Fc] {
-            let rr = r.coupled_row("static-rr", strategy).unwrap();
-            let jsq = r.coupled_row("jsq", strategy).unwrap();
+            let rr = r.row("coupled", "static-rr", strategy).unwrap();
+            let jsq = r.row("coupled", "jsq", strategy).unwrap();
             assert!(
                 rr.robustness.dropped > 0,
                 "{strategy:?}: the strict crash preset must hurt static RR"
@@ -1597,7 +1071,7 @@ mod tests {
         // across nodes throughout the run. (Under the baseline's greedy
         // dispatch only in-flight kills at the crash instant migrate, which
         // can legitimately round to zero at light per-node load.)
-        let jsq_fc = r.coupled_row("jsq", Strategy::Fc).unwrap();
+        let jsq_fc = r.row("coupled", "jsq", Strategy::Fc).unwrap();
         assert!(
             jsq_fc.robustness.counts.failovers > 0,
             "timed-out retries must hand off under JSQ/FC"
@@ -1607,14 +1081,14 @@ mod tests {
     #[test]
     fn trace_table_covers_the_axis_with_bounded_ingestion() {
         let r = quick();
-        assert_eq!(r.trace_rows.len(), expected_trace_rows(true));
+        assert_eq!(table(r, "trace").len(), expected_trace_rows(true));
         let labels: Vec<String> = trace_axis(SimDuration::from_secs(60), true)
             .iter()
             .map(|s| s.label())
             .collect();
         for label in &labels {
-            let base = r.trace_row(label, Strategy::Baseline).unwrap();
-            let fc = r.trace_row(label, Strategy::Fc).unwrap();
+            let base = r.row("trace", label, Strategy::Baseline).unwrap();
+            let fc = r.row("trace", label, Strategy::Fc).unwrap();
             // The same trace feeds both strategies: identical call counts.
             assert_eq!(base.calls, fc.calls, "{label}: shared trace");
             assert!(base.calls > 0, "{label}: trace produced calls");
@@ -1636,37 +1110,38 @@ mod tests {
     #[test]
     fn resource_table_covers_the_axis_and_models_the_memory_column() {
         let r = quick();
-        assert_eq!(r.resource_rows.len(), expected_resource_rows());
-        for row in &r.resource_rows {
+        let rows = table(r, "resource");
+        assert_eq!(rows.len(), expected_resource_rows());
+        for row in rows {
             // The fixed total load reaches every configuration.
-            assert_eq!(row.calls, 660, "{}/{:?}", row.config, row.strategy);
+            assert_eq!(row.calls, 660, "{}/{:?}", row.label, row.strategy);
             assert!(
                 row.resource.cpu_utilization > 0.0 && row.resource.cpu_utilization <= 1.0,
                 "{}: cpu utilization {} in (0, 1]",
-                row.config,
+                row.label,
                 row.resource.cpu_utilization
             );
             assert!(
                 row.resource.dominant_min <= row.resource.dominant_max,
                 "{}: dominant share ordering",
-                row.config
+                row.label
             );
             assert!(
                 row.resource.dominant_jain > 0.0 && row.resource.dominant_jain <= 1.0,
                 "{}: Jain index {} in (0, 1]",
-                row.config,
+                row.label,
                 row.resource.dominant_jain
             );
         }
         for strategy in [Strategy::Baseline, Strategy::Fc] {
             // The single-resource control: memory axis unmodeled, so its
             // utilization reads zero and the dominant axis is the CPU one.
-            let control = r.resource_row("cpu-only/jsq", strategy).unwrap();
+            let control = r.row("resource", "cpu-only/jsq", strategy).unwrap();
             assert_eq!(control.resource.mem_utilization, 0.0);
             // The modeled rows observe genuine bandwidth consumption: the
             // memory-correlated tiers demand it on two of three tiers.
             for config in ["mem/jsq", "mem/jsd"] {
-                let row = r.resource_row(config, strategy).unwrap();
+                let row = r.row("resource", config, strategy).unwrap();
                 assert!(
                     row.resource.mem_utilization > 0.0,
                     "{config}/{strategy:?}: modeled memory axis must be consumed"
@@ -1682,8 +1157,8 @@ mod tests {
         // and response times cannot improve.
         let r = quick();
         for strategy in [Strategy::Baseline, Strategy::Fc] {
-            let control = r.resource_row("cpu-only/jsq", strategy).unwrap();
-            let modeled = r.resource_row("mem/jsq", strategy).unwrap();
+            let control = r.row("resource", "cpu-only/jsq", strategy).unwrap();
+            let modeled = r.row("resource", "mem/jsq", strategy).unwrap();
             assert!(
                 modeled.response.mean >= control.response.mean,
                 "{strategy:?}: modeled memory contention ({}) must not beat \
@@ -1697,13 +1172,8 @@ mod tests {
     #[test]
     fn sim_health_is_populated() {
         let r = quick();
-        for row in &r.rows {
-            assert!(
-                row.peak_events > 0,
-                "{}/{} peak_events",
-                row.arrival,
-                row.mix
-            );
+        for row in table(r, "workload") {
+            assert!(row.peak_events > 0, "{} peak_events", row.label);
             assert!(row.calls > 0);
         }
     }

@@ -8,7 +8,7 @@
 
 use faas_cluster::{run_cluster_source, ClusterConfig, LoadBalancer};
 use faas_core::{Policy, SchedulerConfig};
-use faas_invoker::{simulate_calls, NodeConfig, NodeMode};
+use faas_invoker::{simulate_calls, NodeConfig, NodeMode, NodeResult};
 use faas_metrics::table::TextTable;
 use faas_simcore::stats::percentile_sorted;
 use faas_simcore::time::{SimDuration, SimTime};
@@ -104,7 +104,7 @@ pub fn run_source(source: &WorkloadSource, seed: u64) -> std::io::Result<Table1R
     let catalogue = Catalogue::sebs();
     let cfg = ClusterConfig::independent(1, NodeConfig::paper(4), LoadBalancer::RoundRobin);
     let mode = NodeMode::Scheduled(SchedulerConfig::paper(Policy::Fifo));
-    let result = run_cluster_source(
+    let result = NodeResult::merge(run_cluster_source(
         &catalogue,
         source,
         &mode,
@@ -113,7 +113,7 @@ pub fn run_source(source: &WorkloadSource, seed: u64) -> std::io::Result<Table1R
         seed,
         seed ^ 0xC1u64,
         512,
-    )?;
+    )?);
     let mut rows = Vec::with_capacity(catalogue.len());
     for (func, spec) in catalogue.iter() {
         let mut resp_ms: Vec<f64> = result

@@ -382,7 +382,7 @@ impl Discipline for Baseline<'_> {
 #[cfg(test)]
 mod tests {
     use crate::runtime::tests::{run as run_mode, run_on};
-    use crate::{simulate_calls, simulate_calls_weighted, NodeConfig, NodeMode, NodeResult};
+    use crate::{simulate_calls, simulate_calls_faulted, NodeConfig, NodeMode, NodeResult};
     use faas_simcore::time::SimTime;
     use faas_workload::faults::FaultSpec;
     use faas_workload::scenario::BurstScenario;
@@ -396,7 +396,17 @@ mod tests {
 
     fn simulate(calls: &[Call], cfg: &NodeConfig, weights: &WeightTable, seed: u64) -> NodeResult {
         let cat = Catalogue::sebs();
-        simulate_calls_weighted(&cat, calls, &NodeMode::Baseline, cfg, weights, seed, 0)
+        let none = FaultSpec::none();
+        simulate_calls_faulted(
+            &cat,
+            calls,
+            &NodeMode::Baseline,
+            cfg,
+            weights,
+            &none,
+            seed,
+            0,
+        )
     }
 
     #[test]

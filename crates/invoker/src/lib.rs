@@ -53,7 +53,8 @@ use faas_workload::Scenario;
 use ours::Scheduled;
 use runtime::NodeRuntime;
 
-/// Simulate one node serving `calls` (release-ordered) under the given mode.
+/// Simulate one node serving `calls` (release-ordered) under the given mode,
+/// with uniform container weights and no faults.
 ///
 /// `node_index` tags the resulting outcomes (multi-node experiments run one
 /// simulation per worker).
@@ -66,11 +67,23 @@ pub fn simulate_calls(
     node_index: u16,
 ) -> NodeResult {
     let weights = WeightTable::uniform(catalogue.len());
-    simulate_calls_weighted(catalogue, calls, mode, cfg, &weights, seed, node_index)
+    simulate_calls_faulted(
+        catalogue,
+        calls,
+        mode,
+        cfg,
+        &weights,
+        &FaultSpec::none(),
+        seed,
+        node_index,
+    )
 }
 
 /// Simulate one node with per-function container weights and rate caps
-/// (the weighted-container axis of [`faas_workload::WorkloadSpec`]).
+/// under a fault plan: dynamic capacity, node crash/restart, transient
+/// failures and the retry/timeout/backoff policy (see
+/// [`faas_workload::faults`] for the model and the `runtime` module docs
+/// for the node semantics). Pass [`FaultSpec::none`] for a fault-free run.
 ///
 /// Weights shape the *baseline* node only: each CPU phase (cold-start
 /// init and execution) enters its GPS bank with the share
@@ -78,30 +91,10 @@ pub fn simulate_calls(
 /// shares are exactly what the GPS weight models, and warm-up calls may
 /// override per phase (cgroup update latency). The paper's regime pins
 /// every busy container to one full core, so [`NodeMode::Scheduled`] is
-/// weight-invariant and runs unchanged.
-pub fn simulate_calls_weighted(
-    catalogue: &Catalogue,
-    calls: &[Call],
-    mode: &NodeMode,
-    cfg: &NodeConfig,
-    weights: &WeightTable,
-    seed: u64,
-    node_index: u16,
-) -> NodeResult {
-    let none = FaultSpec::none();
-    simulate_calls_faulted(
-        catalogue, calls, mode, cfg, weights, &none, seed, node_index,
-    )
-}
-
-/// Simulate one node under a fault plan: dynamic capacity, node
-/// crash/restart, transient failures and the retry/timeout/backoff policy
-/// (see [`faas_workload::faults`] for the model and the `runtime` module
-/// docs for the node semantics).
+/// weight-invariant.
 ///
 /// The node's fault timeline is derived from `(faults, node_index)` inside
-/// the invoker, so multi-node runs stay shard-invariant. With
-/// [`FaultSpec::none`] this is [`simulate_calls_weighted`] bit-for-bit.
+/// the invoker, so multi-node runs stay shard-invariant.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_calls_faulted(
     catalogue: &Catalogue,

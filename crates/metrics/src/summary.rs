@@ -186,14 +186,25 @@ impl RobustnessSummary {
         dropped: usize,
         counts: FaultCounts,
     ) -> RobustnessSummary {
-        let delivered = outcomes.len();
-        let offered = delivered + dropped;
-        assert!(offered > 0, "robustness summary of zero calls");
-        let p99_response = if delivered == 0 {
+        let p99_response = if outcomes.is_empty() {
             0.0
         } else {
             MetricSummary::from_values(&response_times(outcomes)).p99
         };
+        RobustnessSummary::new(outcomes.len(), dropped, counts, p99_response)
+    }
+
+    /// The same summary from the delivered count and their p99 response
+    /// time (0 when nothing was delivered), for callers that summarise the
+    /// delivered response times anyway.
+    pub fn new(
+        delivered: usize,
+        dropped: usize,
+        counts: FaultCounts,
+        p99_response: f64,
+    ) -> RobustnessSummary {
+        let offered = delivered + dropped;
+        assert!(offered > 0, "robustness summary of zero calls");
         RobustnessSummary {
             delivered,
             dropped,
