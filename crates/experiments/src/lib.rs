@@ -17,11 +17,10 @@
 //! [`ablations`] goes beyond the paper: hyper-parameter sweeps for the
 //! design choices the paper fixes by fiat. [`functions`] renders §II's
 //! per-function fairness view for one grid configuration. [`sweep`]
-//! crosses the workload subsystem's arrival × mix × container-weight axes
-//! with the scheduling strategies — scenario diversity the paper never
-//! measured — sweeps cluster sizes through the streamed multi-node
-//! engine, and replays Azure-style synthetic traces through the
-//! bounded-memory trace engine.
+//! runs the paper's comparison along one axis per table — arrival × mix ×
+//! container weights, cluster size, faults, coupled routing with
+//! failover, synthetic trace replay and multi-resource DRF — as one
+//! declarative point grid: scenario diversity the paper never measured.
 //!
 //! The `bench_*` modules write the `BENCH_*.json` perf artifacts;
 //! [`bench_history`] folds them into the durable, append-only

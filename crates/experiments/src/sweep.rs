@@ -120,7 +120,7 @@ impl SweepResult {
 }
 
 /// Where a point's calls come from.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Source {
     /// The single-node burst: §V-A warm-up plus the spec's calls, drawn
     /// from the run seed and simulated on the point's node.
@@ -132,7 +132,7 @@ enum Source {
 }
 
 /// One configuration of a table, run once per strategy and seed.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct Point {
     /// Row label.
     label: String,
